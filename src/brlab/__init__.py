@@ -1,11 +1,12 @@
 """Numerical laboratory for bilinear Bochner-Riesz means.
 
-The package provides sampled fields on periodic grids, three independent
-evaluation paths for the bilinear means (direct frequency summation, a
-radial-decomposition path, and a closed-form kernel path), the dyadic
-multiplier decomposition with its separable expansion, kernel evaluation and
-decay measurement, operator-norm estimation harnesses, and the boundedness
-region map in the exponent square.
+The package provides sampled fields on periodic grids, the bilinear means as
+one frequency sum over in-ball lattice pairs (exact or radially binned) with
+independent cross-checks (the closed-form kernel path, the separable path of
+each dyadic piece, and a literal double loop in the tests), the dyadic
+multiplier decomposition, kernel evaluation and decay measurement,
+operator-norm estimation harnesses, and the boundedness region map in the
+exponent square.
 """
 
 __version__ = "0.1.0"

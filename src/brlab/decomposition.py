@@ -22,6 +22,7 @@ from .grid import SampledField, dft_forward
 from .operators import (
     DEFAULT_BUDGET,
     BandSpec,
+    _require_same_grid,
     band_operator,
     bilinear_frequency_apply,
 )
@@ -313,9 +314,7 @@ def br_apply_separable(
     """
     if K < 1:
         raise ValueError(f"rank cutoff must satisfy K >= 1, got K={K}")
-    if f.grid != g.grid:
-        raise ValueError("bilinear operands must share one grid")
-    grid = f.grid
+    grid = _require_same_grid(f, g)
     radii = grid.freq_radii()
     inside = np.unique(radii[radii <= 1.0])
     if inside.size == 0:

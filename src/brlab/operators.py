@@ -1,11 +1,12 @@
-"""Restriction and band operators plus the three bilinear evaluation paths.
+"""Restriction and band operators plus the bilinear evaluation paths.
 
-The production multiplier acts in frequency space; every bilinear route
-below realizes the same double sum over frequency pairs
+Every bilinear route below realizes the same double sum over frequency pairs
 sum_{xi, eta} W(|xi|^2 + |eta|^2) f-hat(xi) g-hat(eta) e^{2 pi i x.(xi+eta)}
-with Riemann-sum measure weights.  The oracle path evaluates it literally,
-the radial path factors it through shells of constant |frequency|, and the
-kernel path crosses over to physical space via the closed-form kernel.
+with Riemann-sum measure weights.  W vanishes outside a ball, so one engine
+sums over the pairs of lattice points inside it: the oracle path and the
+dyadic pieces with exact radii, the binned radial path with radii snapped to
+bin centres.  The kernel path, an independent cross-check, crosses over to
+physical space via the closed-form kernel.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from .bessel import AccuracyWarning
 from .grid import Grid, SampledField, dft_forward, dft_inverse
 from .kernel import kernel_radial
 
-#: cap on N^{2n}, the pair count of the quadratic-cost paths
+#: cap on the frequency pairs a quadratic-cost path visits
 DEFAULT_BUDGET = 1 << 26
+#: most frequency pairs the engine weighs at once, which bounds its memory
+_PAIR_BLOCK = 1 << 18
 
 
 class BudgetError(RuntimeError):
@@ -87,53 +90,68 @@ def _require_same_grid(f: SampledField, g: SampledField) -> Grid:
     return f.grid
 
 
-def _check_budget(grid: Grid, budget: int) -> None:
-    pairs = (grid.N**grid.n) ** 2
+def _check_budget(pairs: int, budget: int) -> None:
     if pairs > budget:
         raise BudgetError(
-            f"grid has {pairs} frequency pairs, over the budget of {budget};"
+            f"evaluation visits {pairs} frequency pairs, over the budget of {budget};"
             " use a coarser grid or raise the budget explicitly"
         )
+
+
+def _pair_sum(
+    f: SampledField, g: SampledField, weight_of_square_sum, keep, radii_sq, budget: int
+) -> SampledField:
+    """The frequency double sum over pairs of the lattice points where ``keep`` holds.
+
+    ``radii_sq`` lists the kept points' squared radii in storage order.  Each
+    target xi + eta sums its pair products in increasing xi order, and every
+    block of xi rows starts from the running totals, so the output bits do
+    not depend on the block size.
+    """
+    grid = f.grid
+    count = int(np.count_nonzero(keep))
+    _check_budget(count * count, budget)
+    F = dft_forward(f).values[keep]
+    G = dft_forward(g).values[keep]
+    points = np.nonzero(keep)
+    lattice = np.arange(grid.N**grid.n)
+    re = im = np.zeros(lattice.size)
+    rows = max(1, _PAIR_BLOCK // max(count, 1))
+    for start in range(0, count, rows):
+        block = slice(start, start + rows)
+        pairs = (F[block, None] * weight_of_square_sum(radii_sq[block, None] + radii_sq)) * G
+        target = [p[block, None] + p for p in points]
+        target = np.ravel_multi_index(target, grid.shape, mode="wrap").ravel()
+        target = np.concatenate([lattice, target])
+        re = np.bincount(target, np.concatenate([re, pairs.real.ravel()]))
+        im = np.bincount(target, np.concatenate([im, pairs.imag.ravel()]))
+    acc = (re + 1j * im).reshape(grid.shape)
+    return dft_inverse(SampledField(grid, acc)) * (1.0 / grid.L**grid.n)
 
 
 def bilinear_frequency_apply(
     f: SampledField,
     g: SampledField,
     weight_of_square_sum,
-    support_radius: float | None = None,
+    support_radius: float,
     budget: int = DEFAULT_BUDGET,
 ) -> SampledField:
-    """Shared double-sum loop over frequency pairs, in lexicographic order.
+    """The frequency double sum over the P lattice points in a ball.
 
     ``weight_of_square_sum`` maps |xi|^2 + |eta|^2 (array) to multiplier
-    values.  ``support_radius`` prunes xi shells that cannot meet the
-    weight's support.  The reduction order is fixed (lexicographic over the
-    xi lattice), so results are bit-reproducible.
+    values and must vanish beyond ``support_radius``^2.  ``budget`` caps the
+    P^2 pairs visited.  The result is bit-reproducible.
     """
     grid = _require_same_grid(f, g)
-    _check_budget(grid, budget)
-    F = dft_forward(f).values
-    G = dft_forward(g).values
     radii_sq = grid.freq_radii() ** 2
-    axes = tuple(range(grid.n))
-    cutoff = None if support_radius is None else float(support_radius) ** 2
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    for idx in np.ndindex(*grid.shape):
-        if cutoff is not None and radii_sq[idx] > cutoff:
-            continue
-        if F[idx] == 0:
-            continue
-        weights = np.asarray(weight_of_square_sum(radii_sq[idx] + radii_sq))
-        contrib = (F[idx] * weights) * G
-        acc += np.roll(contrib, shift=idx, axis=axes)
-    out = dft_inverse(SampledField(grid, acc))
-    return out * (1.0 / grid.L**grid.n)
+    keep = radii_sq <= float(support_radius) ** 2
+    return _pair_sum(f, g, weight_of_square_sum, keep, radii_sq[keep], budget)
 
 
 def br_apply_oracle(
     f: SampledField, g: SampledField, spec: MultiplierSpec, budget: int = DEFAULT_BUDGET
 ) -> SampledField:
-    """Reference bilinear evaluation: the literal frequency double sum."""
+    """Reference bilinear evaluation: the frequency double sum over in-ball pairs."""
     return bilinear_frequency_apply(
         f, g, spec.weight_of_square_sum, support_radius=spec.radius, budget=budget
     )
@@ -210,50 +228,26 @@ def band_operator_quadrature(
 
 
 def br_apply_radial(
-    f: SampledField,
-    g: SampledField,
-    spec: MultiplierSpec,
-    nodes: int | None = None,
+    f: SampledField, g: SampledField, spec: MultiplierSpec, nodes: int | None = None
 ) -> SampledField:
-    """Bilinear evaluation through radial shells of constant |frequency|.
+    """Bilinear evaluation with frequency radii binned into radial shells.
 
-    With ``nodes=None`` the shells are the exact lattice radii inside the
-    multiplier support, which reproduces the oracle path to round-off.  An
-    integer ``nodes`` uses that many uniform bins on [0, radius] with the
-    multiplier frozen at bin midpoints; the resulting error falls off like
-    1/nodes, which is what the node-doubling convergence checks measure.
+    With ``nodes=None`` every exact lattice radius is its own shell, which
+    is the oracle's sum itself.  An integer ``nodes`` uses that many uniform
+    bins on [0, radius) and snaps each frequency's radius to its bin centre
+    before the pair is weighed; the resulting error falls off like 1/nodes,
+    which is what the node-doubling convergence checks measure.
     """
-    grid = _require_same_grid(f, g)
-    F = dft_forward(f).values
-    G = dft_forward(g).values
-    radii_sq = grid.freq_radii() ** 2
-    R = spec.radius
     if nodes is None:
-        shell_sq = np.unique(radii_sq[radii_sq <= R * R])
-        masks = [radii_sq == s for s in shell_sq]
-        centers_sq = shell_sq
-    else:
-        if nodes < 1:
-            raise ValueError(f"need at least one radial bin, got {nodes}")
-        width = R / nodes
-        bins = np.floor(np.sqrt(radii_sq) / width).astype(int)
-        masks = []
-        centers = []
-        for i in range(nodes):
-            mask = bins == i
-            if np.any(mask):
-                masks.append(mask)
-                centers.append((i + 0.5) * width)
-        centers_sq = np.asarray(centers) ** 2
-    if not masks:
-        return SampledField(grid, np.zeros(grid.shape))
-    # each shell field ifftn(F m) (N/L)^n = (1/L)^n sum_{xi in shell} F e,
-    # so the pairwise products already carry the full (1/L)^{2n} measure
-    U = np.stack([np.fft.ifftn(F * m) for m in masks]) * (grid.N / grid.L) ** grid.n
-    V = np.stack([np.fft.ifftn(G * m) for m in masks]) * (grid.N / grid.L) ** grid.n
-    C = spec.weight_of_square_sum(np.add.outer(centers_sq, centers_sq))
-    out = np.einsum("i...,ij,j...->...", U, C, V)
-    return SampledField(grid, out)
+        return bilinear_frequency_apply(f, g, spec.weight_of_square_sum, spec.radius)
+    grid = _require_same_grid(f, g)
+    if nodes < 1:
+        raise ValueError(f"need at least one radial bin, got {nodes}")
+    width = spec.radius / nodes
+    bins = np.floor(grid.freq_radii() / width)
+    keep = bins < nodes
+    centres_sq = ((bins[keep] + 0.5) * width) ** 2
+    return _pair_sum(f, g, spec.weight_of_square_sum, keep, centres_sq, DEFAULT_BUDGET)
 
 
 def br_apply_kernel(
@@ -268,7 +262,7 @@ def br_apply_kernel(
     the oracle path is at the percent level on desk-scale boxes.
     """
     grid = _require_same_grid(f, g)
-    _check_budget(grid, budget)
+    _check_budget((grid.N**grid.n) ** 2, budget)
     # squared minimum-image norm of every grid point, shared by both factors
     half = grid.N // 2
     signed = ((np.arange(grid.N) + half) % grid.N - half) * grid.spacing

@@ -1,4 +1,4 @@
-"""Tests for restriction, band operators, and the three bilinear paths."""
+"""Tests for restriction, band operators, and the bilinear paths."""
 
 import math
 import warnings
@@ -16,7 +16,10 @@ from brlab.grid import (
     lp_norm,
     make_test_field,
 )
+from brlab.decomposition import DyadicPiece, make_bump, phi_j_alpha, t_j_apply
+from brlab import operators
 from brlab.operators import (
+    DEFAULT_BUDGET,
     BandSpec,
     BudgetError,
     MultiplierSpec,
@@ -28,7 +31,7 @@ from brlab.operators import (
     br_apply_radial,
     restriction,
 )
-from helpers import random_field, rel_l2
+from helpers import literal_pair_sum, random_field, rel_l2
 
 GRID_1D = Grid(1, 256, 16.0)
 
@@ -197,10 +200,13 @@ class TestBandOperator:
 
 class TestOraclePath:
     def test_alpha_zero_ball_is_pointwise_product(self):
-        f = make_test_field("band_limited_random", {"band": (0.0, 0.4)}, GRID_1D, seed=21)
-        g = make_test_field("band_limited_random", {"band": (0.0, 0.5)}, GRID_1D, seed=22)
-        out = br_apply_oracle(f, g, MultiplierSpec(alpha=0.0))
-        assert rel_l2(out.values, f.values * g.values) < 1e-10
+        # Grid(2, 64, 20.0) keeps 1257 in-ball points, so its 1.58M pairs
+        # span several blocks of the pair-sum engine
+        for grid in (GRID_1D, Grid(2, 64, 20.0)):
+            f = make_test_field("band_limited_random", {"band": (0.0, 0.4)}, grid, seed=21)
+            g = make_test_field("band_limited_random", {"band": (0.0, 0.5)}, grid, seed=22)
+            out = br_apply_oracle(f, g, MultiplierSpec(alpha=0.0))
+            assert rel_l2(out.values, f.values * g.values) < 1e-10
 
     def test_zero_inputs(self):
         f, _ = gaussian_pair(GRID_1D)
@@ -225,17 +231,31 @@ class TestOraclePath:
         assert rel_l2(lhs.values, rhs.values) < 1e-12
 
     def test_budget_error(self):
+        # 197 lattice points lie in the unit ball, so the sum visits 38,809 pairs
         grid = Grid(2, 128, 8.0)
         f = random_field(grid, seed=34)
         with pytest.raises(BudgetError):
-            br_apply_oracle(f, f, MultiplierSpec(alpha=1.0))
+            br_apply_oracle(f, f, MultiplierSpec(alpha=1.0), budget=10_000)
 
-    def test_reproducible(self):
+    def test_default_budget_counts_inball_pairs(self):
+        # the full lattice has N^{2n} = 2.7e8 pairs, far over the default
+        # budget, but only the in-ball pairs are visited
+        grid = Grid(2, 128, 8.0)
+        assert (grid.N**grid.n) ** 2 > DEFAULT_BUDGET
+        f = random_field(grid, seed=34)
+        out = br_apply_oracle(f, f, MultiplierSpec(alpha=1.0))
+        assert np.all(np.isfinite(out.values))
+
+    def test_reproducible(self, monkeypatch):
         f, g = gaussian_pair(GRID_1D)
         spec = MultiplierSpec(alpha=2.0)
         a = br_apply_oracle(f, g, spec)
         b = br_apply_oracle(f, g, spec)
         assert np.array_equal(a.values, b.values)
+        # the block size bounds memory only; the reduction order is unchanged
+        monkeypatch.setattr(operators, "_PAIR_BLOCK", 100)
+        c = br_apply_oracle(f, g, spec)
+        assert np.array_equal(a.values, c.values)
 
     def test_dilation_is_exact_on_rescaled_grid(self):
         # radius R on box L equals radius 1 on box R*L with identical samples
@@ -305,6 +325,61 @@ class TestRadialPath:
         assert rel_l2(radial.values, oracle.values) < 1e-12
 
 
+BUMP = make_bump()
+
+
+def _snapped_weight(spec: MultiplierSpec, nodes: int):
+    """The multiplier with each radius snapped to its bin centre on [0, radius)."""
+    width = spec.radius / nodes
+
+    def weight(r1, r2):
+        b1, b2 = math.floor(r1 / width), math.floor(r2 / width)
+        if b1 >= nodes or b2 >= nodes:
+            return 0.0
+        c1, c2 = (b1 + 0.5) * width, (b2 + 0.5) * width
+        return spec.weight_of_square_sum(c1 * c1 + c2 * c2)
+
+    return weight
+
+
+SPEC = MultiplierSpec(alpha=1.5)
+BALL = MultiplierSpec(alpha=0.0)  # keeps the lattice points on the unit sphere
+LITERAL_CASES = {
+    "ball": (
+        lambda f, g: br_apply_oracle(f, g, BALL),
+        lambda r1, r2: BALL.weight_of_square_sum(r1 * r1 + r2 * r2),
+    ),
+    "oracle": (
+        lambda f, g: br_apply_oracle(f, g, SPEC),
+        lambda r1, r2: SPEC.weight_of_square_sum(r1 * r1 + r2 * r2),
+    ),
+    "tj0": (
+        lambda f, g: t_j_apply(f, g, DyadicPiece(0, 1.5), BUMP),
+        lambda r1, r2: phi_j_alpha(r1, r2, DyadicPiece(0, 1.5), BUMP),
+    ),
+    "tj3": (
+        lambda f, g: t_j_apply(f, g, DyadicPiece(3, 1.5), BUMP),
+        lambda r1, r2: phi_j_alpha(r1, r2, DyadicPiece(3, 1.5), BUMP),
+    ),
+    "radial16": (
+        lambda f, g: br_apply_radial(f, g, SPEC, nodes=16),
+        _snapped_weight(SPEC, 16),
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 32, 8.0), Grid(2, 16, 4.0)], ids=["1d", "2d"])
+@pytest.mark.parametrize("case", sorted(LITERAL_CASES))
+def test_engine_matches_literal_pair_sum(case, grid):
+    apply, weight_of_radii = LITERAL_CASES[case]
+    f = random_field(grid, seed=71)
+    g = random_field(grid, seed=72)
+    expected, scale = literal_pair_sum(f, g, weight_of_radii, SPEC.radius)
+    assert scale > 0
+    err = np.max(np.abs(apply(f, g).values - expected)) / scale
+    assert err < 1e-13
+
+
 class TestKernelPath:
     def test_matches_oracle_on_wide_box(self):
         grid = Grid(1, 256, 32.0)
@@ -365,7 +440,7 @@ class TestSharedProperties:
         f = random_field(Grid(1, 32, 8.0), seed=61)
         g = random_field(Grid(1, 32, 4.0), seed=62)
         with pytest.raises(ValueError):
-            bilinear_frequency_apply(f, g, lambda s: np.ones_like(s))
+            bilinear_frequency_apply(f, g, lambda s: np.ones_like(s), 1.0)
 
     def test_radial_agreement_improves_as_nodes_double(self):
         f, g = gaussian_pair(GRID_1D)
