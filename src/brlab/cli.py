@@ -234,7 +234,7 @@ def _cmd_evaluate(args, run_dir: str) -> dict:
         if name == "oracle":
             outputs[name] = br_apply_oracle(f, g, spec, budget=int(args.budget))
         elif name == "radial":
-            outputs[name] = br_apply_radial(f, g, spec, nodes=args.nodes)
+            outputs[name] = br_apply_radial(f, g, spec, args.nodes, int(args.budget))
         elif name == "kernel":
             outputs[name] = br_apply_kernel(f, g, spec, budget=int(args.budget))
         else:

@@ -18,14 +18,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._fit import least_squares_slope
-from .grid import SampledField, dft_forward
-from .operators import (
-    DEFAULT_BUDGET,
-    BandSpec,
-    _require_same_grid,
-    band_operator,
-    bilinear_frequency_apply,
-)
+from .grid import SampledField, dft_forward, dft_inverse
+from .operators import DEFAULT_BUDGET, _require_same_grid, bilinear_frequency_apply
 
 #: nodes of the uniform t-quadrature behind every coefficient computation
 COEFF_GRID = 4096
@@ -310,31 +304,27 @@ def br_apply_separable(
     |k| <= K, so the piece becomes gamma_0-band(f) * 1-band(g) plus twice
     the sum over k >= 1 of gamma_k-band(f) * cos(pi k .)-band(g).  Each
     factor is one linear band operator on the unit frequency ball; the
-    constant in front is exactly one under this convention.
+    constant in front is exactly one under this convention.  f and g are
+    transformed once, so each k costs two inverse transforms.
     """
     if K < 1:
         raise ValueError(f"rank cutoff must satisfy K >= 1, got K={K}")
     grid = _require_same_grid(f, g)
     radii = grid.freq_radii()
-    inside = np.unique(radii[radii <= 1.0])
-    if inside.size == 0:
-        return SampledField(grid, np.zeros(grid.shape))
+    ball = radii <= 1.0
+    in_ball = radii[ball]
+    inside, rows = np.unique(in_ball, return_inverse=True)
     table = _coeff_table(piece, bump, inside, K)
-
-    def gamma_multiplier(k: int):
-        def multiplier(r):
-            idx = np.searchsorted(inside, np.asarray(r, dtype=float))
-            idx = np.clip(idx, 0, inside.size - 1)
-            return table[idx, k]
-
-        return multiplier
-
+    F = dft_forward(f).values
+    G = dft_forward(g).values
+    f_multiplier = np.zeros(grid.shape, dtype=np.complex128)
+    g_multiplier = np.zeros(grid.shape, dtype=np.complex128)
     out = np.zeros(grid.shape, dtype=np.complex128)
     for k in range(K + 1):
-        ff = band_operator(f, BandSpec(0.0, 1.0, gamma_multiplier(k)))
-        gg = band_operator(
-            g, BandSpec(0.0, 1.0, lambda r, _k=k: np.cos(math.pi * _k * r))
-        )
+        f_multiplier[ball] = table[rows, k]
+        g_multiplier[ball] = np.cos(math.pi * k * in_ball)
+        ff = dft_inverse(SampledField(grid, F * f_multiplier))
+        gg = dft_inverse(SampledField(grid, G * g_multiplier))
         factor = 1.0 if k == 0 else 2.0
         out += factor * ff.values * gg.values
     return SampledField(grid, out)

@@ -21,7 +21,7 @@ from .bessel import AccuracyWarning
 from .grid import Grid, SampledField, dft_forward, dft_inverse
 from .kernel import kernel_radial
 
-#: cap on the frequency pairs a quadratic-cost path visits
+#: cap on the pairs a path visits: in-ball frequency pairs, or kernel shells x points
 DEFAULT_BUDGET = 1 << 26
 #: most frequency pairs the engine weighs at once, which bounds its memory
 _PAIR_BLOCK = 1 << 18
@@ -93,7 +93,7 @@ def _require_same_grid(f: SampledField, g: SampledField) -> Grid:
 def _check_budget(pairs: int, budget: int) -> None:
     if pairs > budget:
         raise BudgetError(
-            f"evaluation visits {pairs} frequency pairs, over the budget of {budget};"
+            f"evaluation visits {pairs} pairs, over the budget of {budget};"
             " use a coarser grid or raise the budget explicitly"
         )
 
@@ -228,7 +228,11 @@ def band_operator_quadrature(
 
 
 def br_apply_radial(
-    f: SampledField, g: SampledField, spec: MultiplierSpec, nodes: int | None = None
+    f: SampledField,
+    g: SampledField,
+    spec: MultiplierSpec,
+    nodes: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> SampledField:
     """Bilinear evaluation with frequency radii binned into radial shells.
 
@@ -236,10 +240,11 @@ def br_apply_radial(
     is the oracle's sum itself.  An integer ``nodes`` uses that many uniform
     bins on [0, radius) and snaps each frequency's radius to its bin centre
     before the pair is weighed; the resulting error falls off like 1/nodes,
-    which is what the node-doubling convergence checks measure.
+    which is what the node-doubling convergence checks measure.  ``budget``
+    caps the in-ball pairs visited, as for the oracle.
     """
     if nodes is None:
-        return bilinear_frequency_apply(f, g, spec.weight_of_square_sum, spec.radius)
+        return bilinear_frequency_apply(f, g, spec.weight_of_square_sum, spec.radius, budget)
     grid = _require_same_grid(f, g)
     if nodes < 1:
         raise ValueError(f"need at least one radial bin, got {nodes}")
@@ -247,7 +252,7 @@ def br_apply_radial(
     bins = np.floor(grid.freq_radii() / width)
     keep = bins < nodes
     centres_sq = ((bins[keep] + 0.5) * width) ** 2
-    return _pair_sum(f, g, spec.weight_of_square_sum, keep, centres_sq, DEFAULT_BUDGET)
+    return _pair_sum(f, g, spec.weight_of_square_sum, keep, centres_sq, budget)
 
 
 def br_apply_kernel(
@@ -256,27 +261,29 @@ def br_apply_kernel(
     """Bilinear evaluation as a double convolution with the closed-form kernel.
 
     out(x) = (L/N)^{2n} sum_{x1, x2} f(x - x1) g(x - x2) K(x1, x2), with the
-    kernel sampled at minimum-image displacements and each x1-slice of the
-    sum collapsed to a circular convolution in x2.  Periodization of the
-    slowly decaying kernel is the dominant error source, so agreement with
-    the oracle path is at the percent level on desk-scale boxes.
+    kernel sampled at minimum-image displacements.  K depends only on the
+    squared radii of x1 and x2, a U x U table over the grid's U distinct
+    squared radii, so the x1 sum groups into shells: shell u adds
+    (f * 1_u)(g * K_u), with 1_u its indicator and K_u(x2) = K(u, |x2|^2),
+    two circular convolutions by FFT; the budget is charged U N^n.
+    Periodization of the slowly decaying kernel is the dominant error
+    source, so agreement with the oracle path is at the percent level on
+    desk-scale boxes.
     """
     grid = _require_same_grid(f, g)
-    _check_budget((grid.N**grid.n) ** 2, budget)
     # squared minimum-image norm of every grid point, shared by both factors
     half = grid.N // 2
     signed = ((np.arange(grid.N) + half) % grid.N - half) * grid.spacing
     axes_sq = np.meshgrid(*([signed**2] * grid.n), indexing="ij")
-    point_sq = sum(axes_sq).ravel()
-    unique_sq, inverse = np.unique(point_sq, return_inverse=True)
+    unique_sq, shell = np.unique(sum(axes_sq), return_inverse=True)
+    shell = shell.reshape(grid.shape)  # numpy < 2 returns it flat
+    _check_budget(unique_sq.size * grid.N**grid.n, budget)
     rho_table = np.sqrt(np.add.outer(unique_sq, unique_sq))
-    kernel_table = kernel_radial(rho_table.ravel(), spec.alpha, grid.n, spec.radius)
-    kernel_table = kernel_table.reshape(rho_table.shape)
+    kernel_table = kernel_radial(rho_table, spec.alpha, grid.n, spec.radius)
+    F_hat = np.fft.fftn(f.values)
     G_hat = np.fft.fftn(g.values)
-    axes = tuple(range(grid.n))
     out = np.zeros(grid.shape, dtype=np.complex128)
-    for flat, idx in enumerate(np.ndindex(*grid.shape)):
-        row = kernel_table[inverse[flat], inverse].reshape(grid.shape)
-        inner = np.fft.ifftn(G_hat * np.fft.fftn(row))
-        out += np.roll(f.values, shift=idx, axis=axes) * inner
+    for u, row in enumerate(kernel_table):
+        inner = np.fft.ifftn(G_hat * np.fft.fftn(row[shell]))
+        out += np.fft.ifftn(F_hat * np.fft.fftn(shell == u)) * inner
     return SampledField(grid, out * grid.cell_volume**2)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from brlab.grid import Grid, SampledField
+from brlab.kernel import kernel_radial
 
 
 def slow_dft_forward(f: SampledField) -> np.ndarray:
@@ -57,6 +58,33 @@ def literal_pair_sum(f: SampledField, g: SampledField, weight_of_radii, radius: 
     cell = grid.cell_volume
     scale = weight_sum * cell * np.sum(np.abs(f.values)) * cell * np.sum(np.abs(g.values))
     return out / grid.L ** (2 * grid.n), float(scale) / grid.L ** (2 * grid.n)
+
+
+def literal_kernel_sum(f: SampledField, g: SampledField, spec, point_sq=None):
+    """The physical-space double sum of the kernel path, pair by pair.
+
+    Adds (L/N)^{2n} K(x1, x2) f(x - x1) g(x - x2) for every pair (x1, x2) of
+    grid points, with K from :func:`brlab.kernel.kernel_radial` at
+    rho = sqrt(|x1|^2 + |x2|^2) and |x|^2 the squared minimum-image norm
+    (``point_sq`` overrides it, flattened): no FFT and no shared code with
+    the operators.  Returns the sum and its a-priori scale
+    (L/N)^{2n} sum|K| max|f| max|g|, as :func:`literal_pair_sum` does.
+    """
+    grid = f.grid
+    if point_sq is None:
+        point_sq = sum(d**2 for d in grid.wrapped_delta([0.0] * grid.n)).ravel()
+    rho = np.sqrt(np.add.outer(point_sq, point_sq))
+    kernel = kernel_radial(rho, spec.alpha, grid.n, spec.radius)
+    points = list(np.ndindex(*grid.shape))
+    axes = tuple(range(grid.n))
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    for a, x1 in enumerate(points):
+        f_shift = np.roll(f.values, x1, axis=axes)
+        for b, x2 in enumerate(points):
+            out += kernel[a, b] * f_shift * np.roll(g.values, x2, axis=axes)
+    cell = grid.cell_volume
+    scale = np.sum(np.abs(kernel)) * np.max(np.abs(f.values)) * np.max(np.abs(g.values))
+    return out * cell**2, float(scale * cell**2)
 
 
 def rel_l2(actual: np.ndarray, expected: np.ndarray) -> float:

@@ -101,6 +101,15 @@ class TestValidation:
         assert rc == 3
         assert read_error(capsys)["error"] == "budget"
 
+    def test_budget_error_exit_code_radial(self, tmp_path, capsys):
+        rc, _ = run_cli(
+            ["evaluate", "--alpha", "2", "--N", "64", "--budget", "10",
+             "--paths", "radial"],
+            tmp_path,
+        )
+        assert rc == 3
+        assert read_error(capsys)["error"] == "budget"
+
     def test_io_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")

@@ -20,7 +20,7 @@ from brlab.decomposition import (
     t_j_apply,
 )
 from brlab.grid import Grid, SampledField, make_test_field
-from brlab.operators import MultiplierSpec, br_apply_oracle
+from brlab.operators import BandSpec, MultiplierSpec, band_operator, br_apply_oracle
 from helpers import rel_l2
 
 BUMP = make_bump()
@@ -280,6 +280,24 @@ class TestSeparable:
         ]
         for early, late in zip(errs, errs[1:]):
             assert late <= early * 1.1
+
+    def test_bit_identical_to_band_operator_products(self):
+        grid = Grid(2, 16, 4.0)
+        f = make_test_field("gaussian", {"width": 1.0}, grid)
+        g = make_test_field("gaussian", {"width": 0.7, "center": (1.5, 2.5)}, grid)
+        piece, K = DyadicPiece(2, 2.0), 8
+        radii = grid.freq_radii()
+        inside = np.unique(radii[radii <= 1.0])
+        table = GammaTable.build(piece, BUMP, K, inside).values
+        expected = np.zeros(grid.shape, dtype=np.complex128)
+        for k in range(K + 1):
+            gamma = BandSpec(0.0, 1.0, lambda r, k=k: table[np.searchsorted(inside, r), k])
+            cosine = BandSpec(0.0, 1.0, lambda r, k=k: np.cos(math.pi * k * r))
+            factor = 1.0 if k == 0 else 2.0
+            ff, gg = band_operator(f, gamma), band_operator(g, cosine)
+            expected += factor * ff.values * gg.values
+        out = br_apply_separable(f, g, piece, K, BUMP)
+        assert np.array_equal(out.values, expected)
 
     def test_zero_input_gives_zero(self):
         f, g = gaussian_pair()

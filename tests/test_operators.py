@@ -31,7 +31,7 @@ from brlab.operators import (
     br_apply_radial,
     restriction,
 )
-from helpers import literal_pair_sum, random_field, rel_l2
+from helpers import literal_kernel_sum, literal_pair_sum, random_field, rel_l2
 
 GRID_1D = Grid(1, 256, 16.0)
 
@@ -411,7 +411,31 @@ class TestKernelPath:
         grid = Grid(2, 128, 8.0)
         f = random_field(grid, seed=52)
         with pytest.raises(BudgetError):
-            br_apply_kernel(f, f, MultiplierSpec(alpha=1.0))
+            br_apply_kernel(f, f, MultiplierSpec(alpha=1.0), budget=1_000_000)
+
+    def test_budget_counts_shells_times_points(self):
+        # 42 distinct squared minimum-image radii on 16 x 16 points
+        grid = Grid(2, 16, 8.0)
+        f = random_field(grid, seed=53)
+        spec = MultiplierSpec(alpha=1.0)
+        br_apply_kernel(f, f, spec, budget=42 * 256)
+        with pytest.raises(BudgetError):
+            br_apply_kernel(f, f, spec, budget=42 * 256 - 1)
+
+    @pytest.mark.parametrize("grid", [Grid(1, 32, 8.0), Grid(2, 8, 4.0)], ids=["1d", "2d"])
+    def test_matches_literal_kernel_sum(self, grid):
+        f = random_field(grid, seed=54)
+        g = random_field(grid, seed=55)
+        spec = MultiplierSpec(alpha=2.0)
+        out = br_apply_kernel(f, g, spec).values
+        expected, scale = literal_kernel_sum(f, g, spec)
+        assert scale > 0
+        assert np.max(np.abs(out - expected)) / scale < 1e-13
+        # the comparison catches one point put in the wrong shell
+        point_sq = sum(d**2 for d in grid.wrapped_delta([0.0] * grid.n)).ravel()
+        point_sq[1] = point_sq[2]
+        wrong, _ = literal_kernel_sum(f, g, spec, point_sq)
+        assert np.max(np.abs(out - wrong)) / scale > 1e-6
 
     def test_two_dimensional_small_grid(self):
         grid = Grid(2, 16, 8.0)
