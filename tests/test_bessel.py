@@ -5,9 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import jv
 
 from brlab.bessel import (
+    MAX_VALIDATED_ORDER,
     AccuracyWarning,
     bessel_j,
     bessel_j_oracle,
@@ -23,6 +27,13 @@ class TestBesselJ:
         assert bessel_j(0, 0.0) == 1.0
         for k in [0.5, 1, 1.5, 2]:
             assert bessel_j(k, 0.0) == 0.0
+
+    def test_negative_order_diverges_at_zero(self):
+        # J_k(r) ~ (r/2)^k / Gamma(k+1) blows up at r = 0 for -1/2 < k < 0
+        assert bessel_j(-0.25, 0.0) == math.inf
+        assert_allclose(bessel_j(-0.25, 1e-3), jv(-0.25, 1e-3), rtol=1e-13)
+        both = bessel_j(-0.25, np.array([0.0, 1e-3]))
+        assert both[0] == math.inf and both[1] == bessel_j(-0.25, 1e-3)
 
     def test_small_argument_series_reference(self):
         # J_0(x) = 1 - x^2/4 + x^4/64 - ... at x small enough for 3 terms
@@ -72,6 +83,48 @@ class TestBesselJ:
             bessel_j(-0.5, 1.0)
         with pytest.raises(ValueError):
             bessel_j(0, -1.0)
+
+    def test_rejects_orders_above_validated_range(self):
+        assert MAX_VALIDATED_ORDER == 8.0
+        assert math.isfinite(bessel_j(8.0, 16.0))
+        for k in (8.0 + 1e-9, 8.5, 9, 10, 20):
+            with pytest.raises(ValueError, match="validated"):
+                bessel_j(k, np.array([1.0, 20.0]))
+
+    @given(
+        k=st.floats(
+            min_value=-0.5, max_value=MAX_VALIDATED_ORDER, exclude_min=True,
+            allow_subnormal=False,
+        )
+        | st.sampled_from([m + 0.5 for m in range(8)]),
+        r=st.floats(min_value=1e-300, max_value=400.0),
+    )
+    def test_matches_independent_reference(self, k, r):
+        # scipy's jv shares no code with either brlab route.  The kernel uses
+        # orders n + alpha up to 7 on both sides of the dispatch radius, and
+        # at half-integer orders the expansion terminates early.  jv underflows
+        # below r ~ 1e-304 and overflows at subnormal orders, so the next test
+        # covers those inputs.
+        want = float(jv(k, r))
+        assert abs(bessel_j(k, r) - want) <= 1e-11 * max(1.0, abs(want))
+
+    def test_subnormal_arguments(self):
+        # values from mpmath.besselj at 30 digits; below the normal range r/2
+        # rounds (5e-324 halves to 0), and jv returns 0, inf or lost digits
+        cases = [
+            (0.0, 5e-324, 1.0),
+            (1e-300, 5e-324, 1.0),
+            (5e-324, 5e-324, 1.0),
+            (-2.2250738585e-313, 1e-300, 1.0),
+            (0.03125, 5e-324, 7.848086161605232e-11),
+            (0.03125, 1.5e-323, 8.122202287080489e-11),
+            (0.03125, 2.2250738585072014e-308, 2.4206806874323684e-10),
+            (-0.25, 5e-324, 6.509198852597572e80),
+            (-0.49, 1.5e-323, 1.2405301486907302e158),
+            (-0.25, 1e-310, 3.0688361644828e77),
+        ]
+        for k, r, want in cases:
+            assert_allclose(bessel_j(k, r), want, rtol=1e-13)
 
 
 class TestBesselOracle:

@@ -270,6 +270,14 @@ class TestKernel:
         assert len(rows) == 9
         assert max(float(r[3]) for r in rows[1:]) < 1e-6
 
+    def test_sweep_order_above_validated_range_rejected(self, tmp_path, capsys):
+        # the closed form needs J_{n+alpha}, order 10 here
+        rc, _ = run_cli(
+            ["kernel", "--check", "sweep", "--n", "1", "--alpha", "9"], tmp_path
+        )
+        assert rc == 2
+        assert read_error(capsys)["error"] == "validation"
+
     def test_dilation_residuals(self, tmp_path):
         rc, run_dir = run_cli(
             ["kernel", "--check", "dilation", "--R", "2", "--n", "1",
@@ -338,3 +346,8 @@ class TestBesselCheck:
         rc, _ = run_cli(["bessel-check", "--orders", "0.25"], tmp_path)
         assert rc == 2
         assert read_error(capsys)["key"] == "orders"
+
+    def test_order_above_validated_range_rejected(self, tmp_path, capsys):
+        rc, _ = run_cli(["bessel-check", "--orders", "10"], tmp_path)
+        assert rc == 2
+        assert read_error(capsys)["error"] == "validation"
