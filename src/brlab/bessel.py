@@ -67,10 +67,20 @@ def _series_small(k: float, r: np.ndarray) -> np.ndarray:
     total = term.copy()
     neg_quarter_sq = -((rp / 2.0) ** 2)
     buf = np.empty_like(rp)
+    # For m >= 1, |term_m| grows with r, so the largest-r entry's term bounds
+    # max|term| below and 2 (max|term_0| + its later |terms|) bounds
+    # max|total| above; the full-array stop test runs only once those
+    # scalars allow it to pass, so it stops at the same m.
+    top = int(np.argmax(rp))
+    bound = 2.0 * float(np.abs(term).max())
     for m in range(1, _SERIES_MAX_TERMS):
         term *= neg_quarter_sq
         term /= m * (k + m)
         total += term
+        top_term = abs(float(term[top]))
+        bound += 2.0 * top_term
+        if top_term >= 1e-18 * max(bound, 1e-300):
+            continue
         if np.abs(term, out=buf).max() < 1e-18 * max(np.abs(total, out=buf).max(), 1e-300):
             break
     out[pos] = total

@@ -6,7 +6,8 @@ directory, and always writes a manifest.json with the fully resolved
 configuration, tool version, and wall-clock runtime.  CSV outputs are
 byte-deterministic for a fixed configuration and seed.  All failures print
 a single-line JSON error record to stderr and exit nonzero: 2 validation,
-3 budget, 4 I/O.
+3 budget, 4 I/O; a run that fails before writing anything removes every
+directory it created.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .bessel import bessel_j, bessel_j_oracle
+from .bessel import MAX_VALIDATED_ORDER, bessel_j, bessel_j_oracle
 from .decomposition import (
     DyadicPiece,
     br_apply_separable,
@@ -37,6 +38,7 @@ from .decomposition import (
 from .grid import ExponentPair, Grid, field_to_csv, lp_norm, make_test_field
 from .kernel import (
     KernelPoint,
+    check_closed_form,
     dilation_check,
     envelope_csv,
     envelope_fit,
@@ -171,13 +173,19 @@ def _classify_value_error(err: ValueError) -> CliError:
     return CliError("config", message)
 
 
-def _make_run_dir(args) -> str:
+def _make_run_dir(args) -> tuple[str, list[str]]:
+    """Create the run directory; return it and every directory made, leaf first."""
     root = args.outdir or os.environ.get(OUTPUT_ROOT_ENV) or "."
     stamp = datetime.datetime.now(datetime.timezone.utc).strftime("%Y%m%dT%H%M%S%f")
     seed = 0 if args.seed is None else int(args.seed)
     path = os.path.join(root, f"{args.command}-{stamp}-seed{seed}")
+    made = []
+    head = path
+    while head and not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     os.makedirs(path)
-    return path
+    return path, made
 
 
 def _write_manifest(run_dir: str, command: str, config: dict, runtime: float) -> None:
@@ -219,6 +227,8 @@ def _cmd_evaluate(args, run_dir: str) -> dict:
     for name in paths:
         if name not in known:
             raise CliError("paths", f"unknown path {name!r}; choose from {known}")
+    if "kernel" in paths:
+        check_closed_form(alpha, int(args.n))  # refuse before any output is written
     seed = 0 if args.seed is None else int(args.seed)
     spec = MultiplierSpec(alpha=alpha)
     bump = make_bump()
@@ -401,6 +411,7 @@ def _cmd_kernel(args, run_dir: str) -> dict:
             raise CliError("rho_max", f"sweep range is empty, got rho_max={rho_max}")
         rhos = [rho_max * (i + 1) / points for i in range(points)]
         config.update({"points": points, "rho_max": rho_max})
+        check_closed_form(alpha, n)
     if args.check == "sweep":
         closed = kernel_radial(np.asarray(rhos), alpha, n)
         rows = []
@@ -514,6 +525,12 @@ def _cmd_bessel_check(args, run_dir: str) -> dict:
         if not token:
             continue
         orders.append(float(Fraction(_rational(token, "orders"))))
+        if orders[-1] > MAX_VALIDATED_ORDER:
+            raise CliError(
+                "orders",
+                f"orders: Bessel order {orders[-1]:g} > {MAX_VALIDATED_ORDER:g},"
+                " the validated maximum",
+            )
     if not orders:
         raise CliError("orders", "orders must name at least one Bessel order")
     points = int(args.points)
@@ -639,11 +656,20 @@ def main(argv=None) -> int:
             raise CliError("command", "a subcommand is required")
         started = time.perf_counter()
         try:
-            run_dir = _make_run_dir(args)
+            run_dir, made = _make_run_dir(args)
         except OSError as err:
             _emit_error("io", "outdir", str(err))
             return EXIT_IO
-        config = _HANDLERS[args.command](args, run_dir)
+        try:
+            config = _HANDLERS[args.command](args, run_dir)
+        except Exception:
+            # a refused run removes the directories it made while they are empty
+            for path in made:
+                try:
+                    os.rmdir(path)
+                except OSError:
+                    break
+            raise
         _write_manifest(run_dir, args.command, config, time.perf_counter() - started)
         print(f"run directory: {run_dir}")
         return EXIT_OK

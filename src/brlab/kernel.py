@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln, roots_jacobi, roots_legendre
 
 from ._fit import least_squares_slope
-from .bessel import AccuracyWarning, bessel_j, sphere_ft
+from .bessel import MAX_VALIDATED_ORDER, AccuracyWarning, bessel_j, sphere_ft
 
 #: rho beyond which the quadrature routes warn about node resolution
 OSCILLATION_BUDGET = 50.0
@@ -66,18 +66,33 @@ class KernelPoint:
         )
 
 
+def check_closed_form(alpha: float, n: int) -> None:
+    """Refuse an (alpha, n) the closed form cannot evaluate.
+
+    The closed form takes J_{n+alpha}, so n + alpha may not exceed the
+    validated Bessel order; the message names alpha.
+    """
+    if alpha < 0:
+        raise ValueError(f"smoothness index must satisfy alpha >= 0, got {alpha}")
+    if n < 1:
+        raise ValueError(f"dimension must satisfy n >= 1, got n={n}")
+    if n + alpha > MAX_VALIDATED_ORDER:
+        raise ValueError(
+            f"alpha={alpha:g} in dimension n={n} needs Bessel order {n + alpha:g}"
+            f" > {MAX_VALIDATED_ORDER:g}, the validated maximum"
+        )
+
+
 def kernel_radial(rho, alpha: float, n: int, radius: float = 1.0):
     """Vectorized closed-form kernel as a function of rho = |(x1, x2)|.
 
     Evaluates Gamma(1+alpha) pi^{-alpha} rho^{-(n+alpha)} J_{n+alpha}(2 pi rho)
     for the unit radius, with the removable singularity at rho = 0 filled by
     the ascending series, and the general radius obtained from the dilation
-    rule value(R, rho) = R^{2n} value(1, R rho).
+    rule value(R, rho) = R^{2n} value(1, R rho).  Raises ``ValueError`` where
+    :func:`check_closed_form` refuses (alpha, n).
     """
-    if alpha < 0:
-        raise ValueError(f"smoothness index must satisfy alpha >= 0, got {alpha}")
-    if n < 1:
-        raise ValueError(f"dimension must satisfy n >= 1, got n={n}")
+    check_closed_form(alpha, n)
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
@@ -123,24 +138,20 @@ def _auto_nodes(requested, cycles: float) -> int:
     return nodes
 
 
-def _polar_angle_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _polar_angle_rule(nodes: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule in theta on [0, pi/2]: cos, sin and weights.
+
+    The weights carry the Jacobian factor (cos th sin th)^{n-1}.
+    """
     t, v = roots_legendre(nodes)
     theta = (math.pi / 4.0) * (t + 1.0)
-    return theta, (math.pi / 4.0) * v
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    return cos_t, sin_t, (cos_t * sin_t) ** (n - 1) * ((math.pi / 4.0) * v)
 
 
-def _angular_sum(r_nodes, theta, theta_w, pt: KernelPoint, n: int) -> np.ndarray:
-    """For each radial node, the theta-integral of the sphere-transform pair.
-
-    Computes sum_q w_q (cos th)^{n-1} (sin th)^{n-1} phi_{r cos th}(x1)
-    phi_{r sin th}(x2) with both transforms evaluated in one vectorized call.
-    """
-    lam1 = np.outer(r_nodes, np.cos(theta))
-    lam2 = np.outer(r_nodes, np.sin(theta))
-    f1 = sphere_ft(lam1.ravel(), pt.x1, n).reshape(lam1.shape)
-    f2 = sphere_ft(lam2.ravel(), pt.x2, n).reshape(lam2.shape)
-    angular = (np.cos(theta) * np.sin(theta)) ** (n - 1) * theta_w
-    return (f1 * f2) @ angular
+def _sphere_table(r_nodes, trig, x, n: int) -> np.ndarray:
+    """phi_lambda(x) on the lambda = r trig(theta) grid, radial nodes by rows."""
+    return sphere_ft(np.outer(r_nodes, trig).ravel(), x, n).reshape(len(r_nodes), len(trig))
 
 
 def kernel_quadrature(
@@ -173,8 +184,9 @@ def kernel_quadrature(
     t, w = roots_jacobi(G, alpha, 0.0)
     r = radius * (t + 1.0) / 2.0
     smooth = (1.0 + r / radius) ** alpha * r ** (2 * n - 1)
-    theta, theta_w = _polar_angle_rule(G)
-    angular = _angular_sum(r, theta, theta_w, pt, n)
+    cos_t, sin_t, theta_w = _polar_angle_rule(G, n)
+    # for each radial node, the theta-integral of the sphere-transform pair
+    angular = (_sphere_table(r, cos_t, pt.x1, n) * _sphere_table(r, sin_t, pt.x2, n)) @ theta_w
     radial_factor = (radius / 2.0) * 2.0 ** (-alpha)
     return float(radial_factor * np.sum(w * smooth * angular))
 
@@ -201,37 +213,62 @@ def _slice_edges(j: int) -> tuple[float, float]:
     return r_lo, r_hi
 
 
-def kj_kernel(pt: KernelPoint, piece, n: int, bump, nodes=None) -> float:
+def kj_kernel(points, piece, n: int, bump, nodes=None):
     """Kernel of one dyadic piece by quadrature over its support annulus.
 
-    ``piece`` carries the level j and smoothness alpha; ``bump`` is the
-    partition profile applied as bump(2^j (1 - r^2)).  The radial rule is
-    Gauss-Legendre restricted to the exact support annulus (the integrand
-    vanishes to all orders at its edges), the angular rule as in
-    :func:`kernel_quadrature`.
+    ``points`` is one :class:`KernelPoint` (giving a float) or a sequence of
+    them (giving an ndarray whose entry i is bitwise the value at
+    ``points[i]`` alone).  ``piece`` carries the level j and smoothness
+    alpha; ``bump`` is the partition profile applied as bump(2^j (1 - r^2)).
+    The radial rule is Gauss-Legendre restricted to the exact support annulus
+    (the integrand vanishes to all orders at its edges), the angular rule as
+    in :func:`kernel_quadrature`; node counts scale with each point's rho.
+    Within one call every rule is built once per node count and every sphere
+    transform once per (node counts, x1 or x2), a node-count group at a time.
     """
-    if len(pt.x1) != n:
-        raise ValueError(f"point has dimension {len(pt.x1)}, expected n={n}")
-    if pt.rho > OSCILLATION_BUDGET * (1.0 + 1e-9):
-        warnings.warn(
-            f"kj_kernel at rho={pt.rho:g} exceeds its oscillation budget"
-            f" of {OSCILLATION_BUDGET:g}",
-            AccuracyWarning,
-            stacklevel=2,
-        )
+    single = isinstance(points, KernelPoint)
+    points = [points] if single else list(points)
+    for pt in points:
+        if len(pt.x1) != n:
+            raise ValueError(f"point has dimension {len(pt.x1)}, expected n={n}")
     j, alpha = int(piece.j), float(piece.alpha)
     r_lo, r_hi = _slice_edges(j)
-    if not r_hi > r_lo:
-        return 0.0
-    G_theta = _auto_nodes(nodes, pt.rho * r_hi)
-    G_r = max(64, 16 + math.ceil(3.6 * (r_hi - r_lo) * pt.rho))
-    t, w = roots_legendre(G_r)
-    r = r_lo + (r_hi - r_lo) * (t + 1.0) / 2.0
-    u = 1.0 - r**2
-    profile = u**alpha * np.asarray(bump((2.0**j) * u)) * r ** (2 * n - 1)
-    theta, theta_w = _polar_angle_rule(G_theta)
-    angular = _angular_sum(r, theta, theta_w, pt, n)
-    return float((r_hi - r_lo) / 2.0 * np.sum(w * profile * angular))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, pt in enumerate(points):
+        if pt.rho > OSCILLATION_BUDGET * (1.0 + 1e-9):
+            warnings.warn(
+                f"kj_kernel at rho={pt.rho:g} exceeds its oscillation budget"
+                f" of {OSCILLATION_BUDGET:g}",
+                AccuracyWarning,
+                stacklevel=2,
+            )
+        if r_hi > r_lo:
+            G_theta = _auto_nodes(nodes, pt.rho * r_hi)
+            G_r = max(64, 16 + math.ceil(3.6 * (r_hi - r_lo) * pt.rho))
+            groups.setdefault((G_r, G_theta), []).append(i)
+    out = np.zeros(len(points))
+    radial_rules, angle_rules = {}, {}
+    for (G_r, G_theta), members in groups.items():
+        if G_r not in radial_rules:
+            t, w = roots_legendre(G_r)
+            r = r_lo + (r_hi - r_lo) * (t + 1.0) / 2.0
+            u = 1.0 - r**2
+            profile = u**alpha * np.asarray(bump((2.0**j) * u)) * r ** (2 * n - 1)
+            radial_rules[G_r] = (r, w * profile)
+        if G_theta not in angle_rules:
+            angle_rules[G_theta] = _polar_angle_rule(G_theta, n)
+        r, weighted = radial_rules[G_r]
+        cos_t, sin_t, theta_w = angle_rules[G_theta]
+        first, second = {}, {}
+        for i in members:
+            x1, x2 = points[i].x1, points[i].x2
+            if x1 not in first:
+                first[x1] = _sphere_table(r, cos_t, x1, n)
+            if x2 not in second:
+                second[x2] = _sphere_table(r, sin_t, x2, n)
+            pair = (first[x1] * second[x2]) @ theta_w
+            out[i] = (r_hi - r_lo) / 2.0 * np.sum(weighted * pair)
+    return float(out[0]) if single else out
 
 
 @dataclass(frozen=True)
@@ -259,6 +296,10 @@ class EnvelopeReport:
 def envelope_fit(pieces, n: int, M: float, points, bump, nodes=None) -> EnvelopeReport:
     """Fit the spatial-envelope constants of the dyadic piece kernels.
 
+    Each piece's kernel is taken at all sample points in one
+    :func:`kj_kernel` call, so the points share its quadrature rules and
+    sphere transforms; the constants are bitwise those of per-point calls.
+
     Parameters
     ----------
     pieces : DyadicPiece or sequence of DyadicPiece
@@ -278,6 +319,7 @@ def envelope_fit(pieces, n: int, M: float, points, bump, nodes=None) -> Envelope
     if hasattr(pieces, "j"):
         pieces = [pieces]
     pieces = list(pieces)
+    points = list(points)
     alphas = {float(p.alpha) for p in pieces}
     if len(alphas) != 1:
         raise ValueError("all pieces in one envelope fit must share alpha")
@@ -287,14 +329,14 @@ def envelope_fit(pieces, n: int, M: float, points, bump, nodes=None) -> Envelope
     for piece in pieces:
         scale = 2.0 ** (-float(piece.j))
         best = 0.0
-        for pt in points:
-            value = abs(kj_kernel(pt, piece, n, bump, nodes=nodes))
+        values = kj_kernel(points, piece, n, bump, nodes=nodes)
+        for pt, value in zip(points, values):
             envelope = (
                 scale ** (alpha + 1.0)
                 * (1.0 + scale * pt.norm1) ** (-M)
                 * (1.0 + scale * pt.norm2) ** (-M)
             )
-            best = max(best, value / envelope)
+            best = max(best, abs(float(value)) / envelope)
         constants.append(best)
     if len(levels) >= 2:
         slope, _, _ = least_squares_slope(

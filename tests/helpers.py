@@ -1,6 +1,9 @@
 """Shared test utilities: slow reference sums and error metrics."""
 
+import math
+
 import numpy as np
+from scipy.special import gammaln
 
 from brlab.grid import Grid, SampledField
 from brlab.kernel import kernel_radial
@@ -85,6 +88,36 @@ def literal_kernel_sum(f: SampledField, g: SampledField, spec, point_sq=None):
     cell = grid.cell_volume
     scale = np.sum(np.abs(kernel)) * np.max(np.abs(f.values)) * np.max(np.abs(g.values))
     return out * cell**2, float(scale * cell**2)
+
+
+def per_term_stop_series(k: float, r: np.ndarray) -> np.ndarray:
+    """The ascending J_k series with a full-array stop test after every term.
+
+    Same terms and the same rule as ``brlab.bessel._series_small``: stop once
+    max|term| < 1e-18 max(max|total|, 1e-300), checked over the whole batch
+    at every m, with no cheaper scalar pre-test.
+    """
+    out = np.zeros_like(r)
+    pos = r > 0
+    if k <= 0:
+        out[~pos] = 1.0 if k == 0 else math.inf
+    if not np.any(pos):
+        return out
+    rp = r[pos]
+    lost = rp < 2.0 * np.finfo(float).tiny
+    log_half = np.log(np.where(lost, 1.0, rp / 2.0))
+    log_half[lost] = np.log(rp[lost]) - math.log(2.0)
+    term = np.exp(k * log_half - gammaln(k + 1.0))
+    total = term.copy()
+    neg_quarter_sq = -((rp / 2.0) ** 2)
+    for m in range(1, 160):
+        term *= neg_quarter_sq
+        term /= m * (k + m)
+        total += term
+        if np.abs(term).max() < 1e-18 * max(np.abs(total).max(), 1e-300):
+            break
+    out[pos] = total
+    return out
 
 
 def rel_l2(actual: np.ndarray, expected: np.ndarray) -> float:

@@ -13,10 +13,12 @@ from scipy.special import jv
 from brlab.bessel import (
     MAX_VALIDATED_ORDER,
     AccuracyWarning,
+    _series_small,
     bessel_j,
     bessel_j_oracle,
     sphere_ft,
 )
+from helpers import per_term_stop_series
 
 HALF_INTEGER_ORDERS = [0.5, 1.5, 2.5]
 TEST_ORDERS = [0, 0.5, 1, 1.5, 2, 2.5]
@@ -125,6 +127,31 @@ class TestBesselJ:
         ]
         for k, r, want in cases:
             assert_allclose(bessel_j(k, r), want, rtol=1e-13)
+
+
+class TestSeriesStopRule:
+    def test_matches_per_term_full_array_stop(self):
+        # the scalar pre-test may only skip stop tests that cannot pass, so
+        # the series stops at the same term and its bits are unchanged
+        rng = np.random.default_rng(11)
+        orders = [-0.49, -0.25, -1e-3, 0.0, 0.5, 1.0, 2.5, 4.0, 7.0, 8.0]
+        for k in orders:
+            switch = max(12.0, 2.0 * k)
+            for size in rng.integers(1, 600, size=6):
+                r = switch * rng.random(size) ** rng.uniform(1.0, 6.0)
+                r[rng.integers(0, size, size=max(1, size // 10))] = 0.0
+                got, want = _series_small(k, r), per_term_stop_series(k, r)
+                assert got.tobytes() == want.tobytes()
+
+    def test_single_branch_batch_equals_mixed_batch(self):
+        rng = np.random.default_rng(12)
+        for k in (-0.25, 0.0, 1.5, 7.0):
+            switch = max(12.0, 2.0 * k)
+            series = np.sort(switch * rng.random(50))
+            expansion = switch + 300.0 * rng.random(50)
+            mixed = bessel_j(k, np.concatenate([series, expansion]))
+            assert np.array_equal(bessel_j(k, series), mixed[:50])
+            assert np.array_equal(bessel_j(k, expansion), mixed[50:])
 
 
 class TestBesselOracle:

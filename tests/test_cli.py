@@ -94,6 +94,13 @@ class TestValidation:
         assert rc == 2
         assert read_error(capsys)["key"] == "command"
 
+    def test_kernel_path_order_above_validated_range_rejected(self, tmp_path, capsys):
+        rc, _ = run_cli(
+            ["evaluate", "--alpha", "9", "--paths", "oracle,kernel", "--N", "32"], tmp_path
+        )
+        assert rc == 2
+        assert read_error(capsys)["key"] == "alpha"
+
     def test_budget_error_exit_code(self, tmp_path, capsys):
         rc, _ = run_cli(
             ["evaluate", "--alpha", "2", "--N", "64", "--budget", "10"], tmp_path
@@ -276,7 +283,19 @@ class TestKernel:
             ["kernel", "--check", "sweep", "--n", "1", "--alpha", "9"], tmp_path
         )
         assert rc == 2
-        assert read_error(capsys)["error"] == "validation"
+        record = read_error(capsys)
+        assert record["error"] == "validation"
+        assert record["key"] == "alpha"
+        assert os.listdir(tmp_path) == []  # the refused run leaves no directory
+
+    def test_refused_run_removes_the_outdir_it_made(self, tmp_path, capsys):
+        outdir = tmp_path / "made" / "here"
+        rc = main(
+            ["kernel", "--check", "sweep", "--n", "1", "--alpha", "9", "--outdir", str(outdir)]
+        )
+        assert rc == 2
+        assert read_error(capsys)["key"] == "alpha"
+        assert os.listdir(tmp_path) == []  # tmp_path existed before the run, so it stays
 
     def test_dilation_residuals(self, tmp_path):
         rc, run_dir = run_cli(
@@ -350,4 +369,6 @@ class TestBesselCheck:
     def test_order_above_validated_range_rejected(self, tmp_path, capsys):
         rc, _ = run_cli(["bessel-check", "--orders", "10"], tmp_path)
         assert rc == 2
-        assert read_error(capsys)["error"] == "validation"
+        record = read_error(capsys)
+        assert record["error"] == "validation"
+        assert record["key"] == "orders"

@@ -120,6 +120,13 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             kernel_closed_form(KernelPoint((1.0, 0.0), (0.0, 1.0)), 1.0, 1)
 
+    def test_refuses_bessel_order_above_validated_range(self):
+        # J_{n+alpha} with n + alpha = 8.5, refused at every rho (rho = 0
+        # needs no Bessel value) and named by alpha
+        for rho in (0.0, 5.0):
+            with pytest.raises(ValueError, match="alpha"):
+                kernel_radial(rho, 6.5, 2)
+
 
 class TestQuadrature:
     @pytest.mark.parametrize("n", [1, 2])
@@ -217,6 +224,38 @@ class TestKjKernel:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             kj_kernel(KernelPoint((1.0, 0.0), (0.0, 0.0)), DyadicPiece(0, 1.0), 1, BUMP)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_batch_matches_single_points_bitwise(self, n):
+        # a product grid with the origin and swapped pairs; the largest rho
+        # needs more nodes than the floor, so several node-count groups form
+        pad = (0.0,) * (n - 1)
+        radii = (0.0, 0.7, 3.5, 14.0, 28.0)
+        points = [KernelPoint((a,) + pad, (b,) + pad) for a in radii for b in radii]
+        for piece in (DyadicPiece(0, 2.0), DyadicPiece(3, 1.5)):
+            batch = kj_kernel(points, piece, n, BUMP)
+            single = np.array([kj_kernel(pt, piece, n, BUMP) for pt in points])
+            assert isinstance(batch, np.ndarray)
+            assert np.array_equal(batch, single)
+
+    def test_batch_warns_once_per_out_of_budget_point(self):
+        points = [KernelPoint(60.0, 0.0), KernelPoint(1.0, 0.5), KernelPoint(0.0, 70.0)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            kj_kernel(points, DyadicPiece(1, 1.0), 1, BUMP)
+        assert [issubclass(w.category, AccuracyWarning) for w in caught] == [True, True]
+
+    def test_batch_rejects_a_wrong_dimension_point_anywhere(self):
+        points = [KernelPoint(1.0, 0.0), KernelPoint((1.0, 0.0), (0.0, 0.0))]
+        with pytest.raises(ValueError):
+            kj_kernel(points, DyadicPiece(0, 1.0), 1, BUMP)
+
+    def test_empty_annulus_gives_zeros(self):
+        # at j = 60 both slice edges round to 1, so the support is empty
+        points = [KernelPoint(0.0, 0.0), KernelPoint(1.0, 2.0)]
+        values = kj_kernel(points, DyadicPiece(60, 2.0), 1, BUMP)
+        assert np.array_equal(values, np.zeros(2))
+        assert kj_kernel(points[1], DyadicPiece(60, 2.0), 1, BUMP) == 0.0
 
 
 def sample_points():
