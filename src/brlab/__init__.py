@@ -17,7 +17,6 @@ from .decomposition import (
     DyadicPiece,
     GammaTable,
     br_apply_separable,
-    gamma_coeff,
     gamma_decay_check,
     make_bump,
     phi_j_alpha,
@@ -37,7 +36,6 @@ from .kernel import (
     KernelPoint,
     dilation_check,
     envelope_fit,
-    kernel_closed_form,
     kernel_decay_fit,
     kernel_quadrature,
     kernel_radial,
@@ -70,7 +68,6 @@ __all__ = [
     "DyadicPiece",
     "GammaTable",
     "br_apply_separable",
-    "gamma_coeff",
     "gamma_decay_check",
     "make_bump",
     "phi_j_alpha",
@@ -86,7 +83,6 @@ __all__ = [
     "KernelPoint",
     "dilation_check",
     "envelope_fit",
-    "kernel_closed_form",
     "kernel_decay_fit",
     "kernel_quadrature",
     "kernel_radial",

@@ -13,7 +13,6 @@ directory it created.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import math
@@ -31,28 +30,19 @@ from .decomposition import (
     DyadicPiece,
     br_apply_separable,
     gamma_decay_check,
-    gamma_report_csv,
     make_bump,
     t_j_apply,
 )
-from .grid import ExponentPair, Grid, field_to_csv, lp_norm, make_test_field
+from .grid import ExponentPair, Grid, field_to_csv, lp_norm, make_test_field, write_rows
 from .kernel import (
     KernelPoint,
     check_closed_form,
     dilation_check,
-    envelope_csv,
     envelope_fit,
     kernel_quadrature,
     kernel_radial,
 )
-from .norms import (
-    corollary_experiment,
-    decay_csv,
-    decay_fit,
-    estimate_json,
-    lemma1_scaling_experiment,
-    scaling_csv,
-)
+from .norms import corollary_experiment, decay_fit, lemma1_scaling_experiment
 from .operators import (
     DEFAULT_BUDGET,
     BudgetError,
@@ -61,7 +51,7 @@ from .operators import (
     br_apply_oracle,
     br_apply_radial,
 )
-from .regions import region_grid_export, smoothness_index
+from .regions import MAP_HEADER, region_grid_export, smoothness_index
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -177,8 +167,7 @@ def _make_run_dir(args) -> tuple[str, list[str]]:
     """Create the run directory; return it and every directory made, leaf first."""
     root = args.outdir or os.environ.get(OUTPUT_ROOT_ENV) or "."
     stamp = datetime.datetime.now(datetime.timezone.utc).strftime("%Y%m%dT%H%M%S%f")
-    seed = 0 if args.seed is None else int(args.seed)
-    path = os.path.join(root, f"{args.command}-{stamp}-seed{seed}")
+    path = os.path.join(root, f"{args.command}-{stamp}-seed{args.run_seed}")
     made = []
     head = path
     while head and not os.path.exists(head):
@@ -188,19 +177,9 @@ def _make_run_dir(args) -> tuple[str, list[str]]:
     return path, made
 
 
-def _write_manifest(run_dir: str, command: str, config: dict, runtime: float) -> None:
-    outputs = sorted(
-        name for name in os.listdir(run_dir) if name != "manifest.json"
-    )
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config": config,
-        "outputs": outputs,
-        "runtime_seconds": runtime,
-    }
-    with open(os.path.join(run_dir, "manifest.json"), "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+def _write_json(path, body: dict) -> None:
+    with open(path, "w") as handle:
+        json.dump(body, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
@@ -216,8 +195,6 @@ def _grid_from_args(args) -> Grid:
 
 
 def _cmd_evaluate(args, run_dir: str) -> dict:
-    if args.alpha is None:
-        raise CliError("alpha", "alpha is required")
     alpha = _number(args.alpha, "alpha")
     grid = _grid_from_args(args)
     known = ("oracle", "radial", "kernel", "separable")
@@ -227,17 +204,20 @@ def _cmd_evaluate(args, run_dir: str) -> dict:
     for name in paths:
         if name not in known:
             raise CliError("paths", f"unknown path {name!r}; choose from {known}")
+    # refuse before any output is written
     if "kernel" in paths:
-        check_closed_form(alpha, int(args.n))  # refuse before any output is written
-    seed = 0 if args.seed is None else int(args.seed)
+        check_closed_form(alpha, int(args.n))
+    if args.K < 1:
+        raise CliError("K", f"K must be at least 1, got {args.K}")
+    if args.nodes is not None and args.nodes < 1:
+        raise CliError("nodes", f"nodes must be at least 1, got {args.nodes}")
+    seed = args.run_seed
     spec = MultiplierSpec(alpha=alpha)
     bump = make_bump()
     f = make_test_field("gaussian", {"width": 1.0}, grid, seed=seed)
     g = make_test_field(
         "gaussian", {"width": 1.5, "center": (grid.L * 0.6,) * grid.n}, grid, seed=seed
     )
-    field_to_csv(f, os.path.join(run_dir, "input_f.csv"))
-    field_to_csv(g, os.path.join(run_dir, "input_g.csv"))
 
     outputs = {}
     for name in paths:
@@ -251,11 +231,10 @@ def _cmd_evaluate(args, run_dir: str) -> dict:
             piece = DyadicPiece(int(args.j), alpha)
             outputs["separable"] = br_apply_separable(f, g, piece, int(args.K), bump)
             outputs["tj_direct"] = t_j_apply(f, g, piece, bump, budget=int(args.budget))
-        field_to_csv(
-            outputs[name], os.path.join(run_dir, f"field_{name}.csv")
-        )
-    if "tj_direct" in outputs:
-        field_to_csv(outputs["tj_direct"], os.path.join(run_dir, "field_tj_direct.csv"))
+    field_to_csv(f, os.path.join(run_dir, "input_f.csv"))
+    field_to_csv(g, os.path.join(run_dir, "input_g.csv"))
+    for name, out in outputs.items():
+        field_to_csv(out, os.path.join(run_dir, f"field_{name}.csv"))
 
     # agreement pairs: full-multiplier paths against each other, and the
     # separable piece path against its direct counterpart
@@ -266,12 +245,10 @@ def _cmd_evaluate(args, run_dir: str) -> dict:
     rows = []
     for a, b in pairs:
         err = _rel_l2(outputs[a], outputs[b])
-        rows.append([a, b, repr(err)])
+        rows.append([a, b, err])
         print(f"agreement {a} vs {b}: relative l2 error {err:.6e}")
-    with open(os.path.join(run_dir, "agreement.csv"), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["path_a", "path_b", "rel_l2_error"])
-        writer.writerows(rows)
+    header = ["path_a", "path_b", "rel_l2_error"]
+    write_rows(os.path.join(run_dir, "agreement.csv"), header, rows)
     if not pairs:
         print("single path requested; no agreement rows")
     return {
@@ -291,8 +268,6 @@ def _cmd_evaluate(args, run_dir: str) -> dict:
 def _cmd_decay(args, run_dir: str) -> dict:
     if args.mode not in ("tj", "gamma"):
         raise CliError("mode", f"mode must be 'tj' or 'gamma', got {args.mode!r}")
-    if args.alpha is None:
-        raise CliError("alpha", "alpha is required")
     alpha = _number(args.alpha, "alpha")
     bump = make_bump()
     j_range = _int_range(args.j_range, "j_range")
@@ -302,7 +277,13 @@ def _cmd_decay(args, run_dir: str) -> dict:
         if k_max < 0:
             raise CliError("k_max", f"k_max must be nonnegative, got {k_max}")
         report = gamma_decay_check(alpha, delta, j_range, range(k_max + 1), bump)
-        gamma_report_csv(report, os.path.join(run_dir, "gamma.csv"))
+        rows = (
+            [j, k, report.sup_table[i, c], report.normalized[i, c]]
+            for i, j in enumerate(report.levels)
+            for c, k in enumerate(report.k_values)
+        )
+        header = ["j", "k", "sup_gamma", "normalized"]
+        write_rows(os.path.join(run_dir, "gamma.csv"), header, rows)
         print(
             f"gamma decay: constant {report.constant:.6g},"
             f" per-level growth ratio {report.growth_ratio:.4f},"
@@ -314,7 +295,7 @@ def _cmd_decay(args, run_dir: str) -> dict:
             "delta": delta,
             "j_range": j_range,
             "k_max": k_max,
-            "seed": 0 if args.seed is None else int(args.seed),
+            "seed": args.run_seed,
         }
     if len(j_range) < 4:
         raise CliError("j_range", "decay fit needs at least 4 levels in j_range")
@@ -328,7 +309,12 @@ def _cmd_decay(args, run_dir: str) -> dict:
         return lambda u, v: t_j_apply(u, v, piece, bump, budget=budget)
 
     fit = decay_fit(op_family, exponents, grid, j_range, int(args.trials), seed)
-    decay_csv(fit, os.path.join(run_dir, "decay.csv"))
+    rows = (
+        [j, est.value, est.witness_id_f, est.witness_id_g]
+        for j, est in zip(fit.js, fit.estimates)
+    )
+    header = ["j", "estimate", "witness_f", "witness_g"]
+    write_rows(os.path.join(run_dir, "decay.csv"), header, rows)
     print(
         f"decay fit: epsilon {fit.epsilon:.4f}, residual {fit.residual:.4f},"
         f" degenerate {fit.degenerate}"
@@ -361,20 +347,7 @@ def _cmd_regions(args, run_dir: str) -> dict:
         pair = ExponentPair(_rational(args.p1, "p1"), _rational(args.p2, "p2"))
         result = smoothness_index(pair, n)
         print(f"{result.region}, threshold {result.chosen_form} = {result.threshold}")
-        with open(os.path.join(run_dir, "query.csv"), "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["inv_p1", "inv_p2", "region", "threshold", "threshold_form"]
-            )
-            writer.writerow(
-                [
-                    str(pair.inv1),
-                    str(pair.inv2),
-                    result.region,
-                    repr(float(result.threshold)),
-                    str(result.chosen_form),
-                ]
-            )
+        write_rows(os.path.join(run_dir, "query.csv"), MAP_HEADER, [result.map_row()])
         config.update({"mode": "query", "p1": str(pair.p1), "p2": str(pair.p2)})
         return config
     resolution = int(args.resolution)
@@ -414,39 +387,26 @@ def _cmd_kernel(args, run_dir: str) -> dict:
         check_closed_form(alpha, n)
     if args.check == "sweep":
         closed = kernel_radial(np.asarray(rhos), alpha, n)
-        rows = []
-        worst = 0.0
-        for rho, closed_value in zip(rhos, closed):
-            pt = _kernel_points([rho], n)[0]
-            quad = kernel_quadrature(pt, alpha, n)
-            diff = abs(float(closed_value) - quad)
-            worst = max(worst, diff)
-            rows.append([repr(float(rho)), repr(float(closed_value)), repr(quad), repr(diff)])
-        with open(os.path.join(run_dir, "kernel.csv"), "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["rho", "closed_form", "quadrature", "abs_diff"])
-            writer.writerows(rows)
+        quads = [kernel_quadrature(pt, alpha, n) for pt in _kernel_points(rhos, n)]
+        rows = [[rho, c, q, abs(float(c) - q)] for rho, c, q in zip(rhos, closed, quads)]
+        header = ["rho", "closed_form", "quadrature", "abs_diff"]
+        write_rows(os.path.join(run_dir, "kernel.csv"), header, rows)
+        worst = max(row[3] for row in rows)
         print(f"kernel sweep: max closed-vs-quadrature discrepancy {worst:.6e}")
         return config
     if args.check == "dilation":
         if args.R is None:
             raise CliError("R", "R is required for the dilation check")
         R = _number(args.R, "R")
-        rows = []
-        worst = 0.0
-        for pt in _kernel_points(rhos, n):
-            residual = dilation_check(pt, alpha, n, R)
-            worst = max(worst, residual)
-            rows.append([repr(pt.rho), repr(residual)])
-        with open(os.path.join(run_dir, "dilation.csv"), "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["rho", "residual"])
-            writer.writerows(rows)
-        print(f"dilation check R={R:g}: max residual {worst:.6e}")
+        rows = [[pt.rho, dilation_check(pt, alpha, n, R)] for pt in _kernel_points(rhos, n)]
+        write_rows(os.path.join(run_dir, "dilation.csv"), ["rho", "residual"], rows)
+        print(f"dilation check R={R:g}: max residual {max(row[1] for row in rows):.6e}")
         config.update({"R": R})
         return config
     j_range = _int_range(args.j_range, "j_range")
     M = _number(args.M, "M")
+    if not M > 0:
+        raise CliError("M", f"M must be positive, got {M:g}")
     radii = [0.0, 0.7, 2.1, 3.5, 7.0, 14.0, 28.0]
     points = [
         KernelPoint((a,) + (0.0,) * (n - 1), (b,) + (0.0,) * (n - 1))
@@ -455,7 +415,8 @@ def _cmd_kernel(args, run_dir: str) -> dict:
     ]
     pieces = [DyadicPiece(j, alpha) for j in j_range]
     report = envelope_fit(pieces, n, M, points, make_bump())
-    envelope_csv(report, os.path.join(run_dir, "envelope.csv"))
+    rows = zip(report.levels, report.constants)
+    write_rows(os.path.join(run_dir, "envelope.csv"), ["j", "constant"], rows)
     print(
         f"envelope fit M={M:g}: log10 slope {report.slope:.4f},"
         f" flagged {report.flagged}"
@@ -483,7 +444,8 @@ def _cmd_norms(args, run_dir: str) -> dict:
         if not widths:
             raise CliError("widths", "widths must name at least one band width")
         report = lemma1_scaling_experiment(p, b, widths, grid, seed)
-        scaling_csv(report, os.path.join(run_dir, "scaling.csv"))
+        rows = zip(report.widths, report.estimates, report.witness_ids)
+        write_rows(os.path.join(run_dir, "scaling.csv"), ["w", "estimate", "witness"], rows)
         fitted = (
             "none" if report.fitted_exponent is None else f"{report.fitted_exponent:.4f}"
         )
@@ -501,11 +463,26 @@ def _cmd_norms(args, run_dir: str) -> dict:
             "L": grid.L,
             "seed": seed,
         }
-    if args.alpha is None:
-        raise CliError("alpha", "alpha is required")
     alpha = _number(args.alpha, "alpha")
     estimate = corollary_experiment(alpha, grid, int(args.trials), seed)
-    estimate_json(estimate, os.path.join(run_dir, "estimate.json"))
+    # the witnesses are saved beside the estimate, so its ratio can be recomputed
+    witness_f, witness_g = "estimate.witness_f.csv", "estimate.witness_g.csv"
+    field_to_csv(estimate.witness_f, os.path.join(run_dir, witness_f))
+    field_to_csv(estimate.witness_g, os.path.join(run_dir, witness_g))
+    _write_json(
+        os.path.join(run_dir, "estimate.json"),
+        {
+            "value": estimate.value,
+            "exponents": str(estimate.exponents),
+            "trials": estimate.trials,
+            "seed": estimate.seed,
+            "witness_id_f": estimate.witness_id_f,
+            "witness_id_g": estimate.witness_id_g,
+            "witness_f": witness_f,
+            "witness_g": witness_g,
+            "grid": {"n": grid.n, "N": grid.N, "L": grid.L},
+        },
+    )
     print(f"corollary estimate: lower bound {estimate.value:.6g}")
     return {
         "experiment": "corollary",
@@ -541,20 +518,15 @@ def _cmd_bessel_check(args, run_dir: str) -> dict:
     if not 0 < r_min < r_max:
         raise CliError("r_min", f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
     radii = np.geomspace(r_min, r_max, points)
-    worst = 0.0
     rows = []
     for k in orders:
         series = bessel_j(k, radii)
         oracle = bessel_j_oracle(k, radii)
         for r, a, b in zip(radii, np.atleast_1d(series), np.atleast_1d(oracle)):
-            diff = abs(float(a) - float(b))
-            worst = max(worst, diff)
-            rows.append([repr(k), repr(float(r)), repr(float(a)), repr(float(b)), repr(diff)])
-    with open(os.path.join(run_dir, "bessel.csv"), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["order", "r", "series_route", "quadrature_route", "abs_diff"])
-        writer.writerows(rows)
-    print(f"bessel dual-route check: max |difference| {worst:.3e}")
+            rows.append([k, r, a, b, abs(float(a) - float(b))])
+    header = ["order", "r", "series_route", "quadrature_route", "abs_diff"]
+    write_rows(os.path.join(run_dir, "bessel.csv"), header, rows)
+    print(f"bessel dual-route check: max |difference| {max(row[4] for row in rows):.3e}")
     return {
         "orders": orders,
         "points": points,
@@ -654,6 +626,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.command is None:
             raise CliError("command", "a subcommand is required")
+        args.run_seed = 0 if args.seed is None else args.seed
         started = time.perf_counter()
         try:
             run_dir, made = _make_run_dir(args)
@@ -670,7 +643,16 @@ def main(argv=None) -> int:
                 except OSError:
                     break
             raise
-        _write_manifest(run_dir, args.command, config, time.perf_counter() - started)
+        runtime = time.perf_counter() - started
+        outputs = sorted(name for name in os.listdir(run_dir) if name != "manifest.json")
+        manifest = {
+            "command": args.command,
+            "version": __version__,
+            "config": config,
+            "outputs": outputs,
+            "runtime_seconds": runtime,
+        }
+        _write_json(os.path.join(run_dir, "manifest.json"), manifest)
         print(f"run directory: {run_dir}")
         return EXIT_OK
     except CliError as err:

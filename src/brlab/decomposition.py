@@ -10,7 +10,6 @@ band operators, which is the separable evaluation path.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -150,22 +149,14 @@ def _coeff_table(piece: DyadicPiece, bump: BumpFunction, s_values, k_max: int) -
     return spectrum * signs[None, :] / COEFF_GRID
 
 
-def gamma_coeff(piece: DyadicPiece, k: int, s: float, bump: BumpFunction) -> float:
-    """Fourier coefficient (period 2) of the slice multiplier in t, at one s.
-
-    Real, and even in both k and s.
-    """
-    if abs(s) > 1.0:
-        raise ValueError(f"radial variable must satisfy |s| <= 1, got s={s}")
-    return float(_coeff_table(piece, bump, [abs(s)], abs(int(k)))[0, abs(int(k))])
-
-
 @dataclass(frozen=True)
 class GammaTable:
     """Tabulated slice coefficients over a grid of radial values s.
 
-    ``values[i, k]`` is gamma_{j,k}(s_values[i]) for k >= 0; negative k
-    mirror by evenness.
+    ``values[i, k]`` is gamma_{j,k}(s_values[i]) for k >= 0: the Fourier
+    coefficient (period 2) of the slice multiplier in t at that s.  It is
+    real and even in both k and s, so negative k mirror by evenness.
+    :meth:`build` refuses any |s| > 1.
     """
 
     j: int
@@ -180,6 +171,11 @@ class GammaTable:
     ) -> "GammaTable":
         if s_values is None:
             s_values = np.linspace(0.0, 1.0, 257)
+        s_abs = np.abs(np.asarray(s_values, dtype=float))
+        if np.any(s_abs > 1.0):
+            raise ValueError(
+                f"radial variable must satisfy |s| <= 1, got |s| = {np.max(s_abs)}"
+            )
         table = _coeff_table(piece, bump, s_values, k_max)
         table.flags.writeable = False
         return cls(
@@ -272,23 +268,6 @@ def gamma_decay_check(
         growth_ratio=growth_ratio,
         flagged=growth_ratio > 1.1,
     )
-
-
-def gamma_report_csv(report: GammaDecayReport, path) -> None:
-    """Write rows (j, k, sup_gamma, normalized) of a decay report."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["j", "k", "sup_gamma", "normalized"])
-        for i, j in enumerate(report.levels):
-            for c, k in enumerate(report.k_values):
-                writer.writerow(
-                    [
-                        j,
-                        k,
-                        repr(float(report.sup_table[i, c])),
-                        repr(float(report.normalized[i, c])),
-                    ]
-                )
 
 
 def br_apply_separable(

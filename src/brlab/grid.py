@@ -4,20 +4,18 @@ The continuum convention approximated throughout is
 f-hat(xi) = integral f(x) exp(-2 pi i x.xi) dx on the box [0, L)^n, sampled
 at x_k = (L/N) k and on the frequency lattice {m/L}.  All scalings below are
 chosen so discrete norms and transforms converge to their continuum values
-as N grows with L fixed.
+as N grows with L fixed.  Every CSV file the package writes goes through
+:func:`write_rows`, which fixes the text format of its numbers.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-
-_BINARY_HEADER = struct.Struct("<II")
 
 
 @dataclass(frozen=True)
@@ -185,21 +183,17 @@ class ExponentPair:
     def inv_p(self) -> Fraction:
         return self.inv1 + self.inv2
 
-    @staticmethod
-    def _to_exponent(inv: Fraction):
-        return math.inf if inv == 0 else 1 / inv
-
     @property
     def p1(self):
-        return self._to_exponent(self.inv1)
+        return _exponent_of(self.inv1)
 
     @property
     def p2(self):
-        return self._to_exponent(self.inv2)
+        return _exponent_of(self.inv2)
 
     @property
     def p(self):
-        return self._to_exponent(self.inv_p)
+        return _exponent_of(self.inv_p)
 
     @property
     def banach(self) -> bool:
@@ -211,6 +205,18 @@ class ExponentPair:
             return "inf" if inv == 0 else str(1 / inv)
 
         return f"({fmt(self.inv1)}, {fmt(self.inv2)}) -> {fmt(self.inv_p)}"
+
+
+def _exponent_of(inv: Fraction):
+    """The exponent p with reciprocal ``inv``, infinity for 0."""
+    return math.inf if inv == 0 else 1 / inv
+
+
+def _as_pair(exponents) -> ExponentPair:
+    """An ExponentPair as given, or one built from a (p1, p2) sequence."""
+    if isinstance(exponents, ExponentPair):
+        return exponents
+    return ExponentPair(*exponents)
 
 
 def dft_forward(f: SampledField) -> SampledField:
@@ -393,15 +399,28 @@ def modulate(f: SampledField, freq) -> SampledField:
     return SampledField(f.grid, f.values * np.exp(2j * math.pi * phase))
 
 
-def field_to_csv(f: SampledField, path) -> None:
-    """Write one row per sample: index tuple, real part, imaginary part."""
-    header = [f"i{a}" for a in range(f.grid.n)] + ["re", "im"]
+def write_rows(path, header, rows) -> None:
+    """Write a CSV file: the header, then each row.
+
+    Every float, Python or numpy, is written as ``repr(float(v))``, the
+    shortest text that reads back bitwise equal; every other value is
+    written as :mod:`csv` writes it.  Numpy scalars become Python scalars
+    first; csv writes a Python float as ``str(v)``, which equals its repr.
+    """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for idx in np.ndindex(*f.grid.shape):
-            v = f.values[idx]
-            writer.writerow([*idx, repr(float(v.real)), repr(float(v.imag))])
+        for row in rows:
+            writer.writerow([v.item() if isinstance(v, np.generic) else v for v in row])
+
+
+def field_to_csv(f: SampledField, path) -> None:
+    """Write one row per sample: index tuple, real part, imaginary part."""
+    header = [f"i{a}" for a in range(f.grid.n)] + ["re", "im"]
+    real = f.values.real.ravel().tolist()
+    imag = f.values.imag.ravel().tolist()
+    rows = ([*idx, re, im] for idx, re, im in zip(np.ndindex(*f.grid.shape), real, imag))
+    write_rows(path, header, rows)
 
 
 def field_from_csv(path, L: float) -> SampledField:
@@ -423,19 +442,3 @@ def field_from_csv(path, L: float) -> SampledField:
     for row, idx in zip(rows, indices):
         values[tuple(idx)] = float(row[n]) + 1j * float(row[n + 1])
     return SampledField(grid, values)
-
-
-def field_to_binary(f: SampledField, path) -> None:
-    """Little-endian dump: 8-byte header (n, N as uint32), then raw values."""
-    with open(path, "wb") as handle:
-        handle.write(_BINARY_HEADER.pack(f.grid.n, f.grid.N))
-        handle.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
-
-
-def field_from_binary(path, L: float) -> SampledField:
-    """Rebuild a field written by :func:`field_to_binary`; L is supplied."""
-    with open(path, "rb") as handle:
-        n, N = _BINARY_HEADER.unpack(handle.read(_BINARY_HEADER.size))
-        raw = handle.read()
-    values = np.frombuffer(raw, dtype="<c16").reshape((N,) * n)
-    return SampledField(Grid(n, N, L), values)

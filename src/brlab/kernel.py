@@ -10,7 +10,6 @@ envelope are the checks this module exposes.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -118,13 +117,6 @@ def kernel_radial(rho, alpha: float, n: int, radius: float = 1.0):
     return float(out[0]) if scalar else out
 
 
-def kernel_closed_form(pt: KernelPoint, alpha: float, n: int) -> float:
-    """Closed-form kernel value at a point of R^n x R^n (unit radius)."""
-    if len(pt.x1) != n:
-        raise ValueError(f"point has dimension {len(pt.x1)}, expected n={n}")
-    return kernel_radial(pt.rho, alpha, n)
-
-
 def _auto_nodes(requested, cycles: float) -> int:
     nodes = max(128 if requested is None else int(requested), 80 + math.ceil(3.6 * cycles))
     if nodes > NODE_CAP:
@@ -202,7 +194,7 @@ def dilation_check(pt: KernelPoint, alpha: float, n: int, R: float) -> float:
     if not R > 0:
         raise ValueError(f"dilation parameter must be positive, got R={R}")
     measured = kernel_quadrature(pt, alpha, n, radius=R)
-    reference = R ** (2 * n) * kernel_closed_form(pt.scaled(R), alpha, n)
+    reference = R ** (2 * n) * kernel_radial(pt.scaled(R).rho, alpha, n)
     return abs(measured - reference) / (abs(reference) + 1.0)
 
 
@@ -393,22 +385,3 @@ def kernel_decay_fit(
         peak_rhos=tuple(float(r) for r in rho[idx]),
         peak_values=tuple(float(v) for v in vals[idx]),
     )
-
-
-def kernel_table_csv(path, alpha: float, n: int, rhos, radius: float = 1.0) -> None:
-    """Write rows (rho, value) of the closed-form kernel."""
-    values = kernel_radial(np.asarray(rhos, dtype=float), alpha, n, radius=radius)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["rho", "value"])
-        for r, v in zip(np.asarray(rhos, dtype=float), values):
-            writer.writerow([repr(float(r)), repr(float(v))])
-
-
-def envelope_csv(report: EnvelopeReport, path) -> None:
-    """Write rows (j, constant) of an envelope report."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["j", "constant"])
-        for j, c in zip(report.levels, report.constants):
-            writer.writerow([j, repr(float(c))])

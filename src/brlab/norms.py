@@ -9,8 +9,6 @@ estimate deterministic and reproducible from its stored witnesses.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,8 +20,8 @@ from .grid import (
     ExponentPair,
     Grid,
     SampledField,
+    _as_pair,
     dft_inverse,
-    field_to_csv,
     lp_norm,
     make_test_field,
     modulate,
@@ -127,12 +125,6 @@ def witness_catalog(
         )
     )
     return items
-
-
-def _as_pair(exponents) -> ExponentPair:
-    if isinstance(exponents, ExponentPair):
-        return exponents
-    return ExponentPair(*exponents)
 
 
 def _ratio(op, f: SampledField, g: SampledField, ep: ExponentPair) -> float:
@@ -373,51 +365,3 @@ def corollary_experiment(alpha: float, grid: Grid, trials: int, seed: int) -> No
         return br_apply_radial(f, g, spec)
 
     return estimate_bilinear_norm(op, ExponentPair(1, math.inf), grid, trials, seed)
-
-
-def decay_csv(fit: DecayFit, path) -> None:
-    """Write rows (j, estimate, witness ids) of a decay fit."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["j", "estimate", "witness_f", "witness_g"])
-        for j, est in zip(fit.js, fit.estimates):
-            writer.writerow([j, repr(est.value), est.witness_id_f, est.witness_id_g])
-
-
-def scaling_csv(report: ScalingReport, path) -> None:
-    """Write rows (w, estimate, witness id) of a scaling report."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["w", "estimate", "witness"])
-        for w, value, item_id in zip(report.widths, report.estimates, report.witness_ids):
-            writer.writerow([repr(float(w)), repr(float(value)), item_id])
-
-
-def estimate_json(estimate: NormEstimate, path) -> None:
-    """Write a NormEstimate as JSON, saving its witness fields alongside.
-
-    The witnesses land next to ``path`` as CSV field files; the JSON body
-    references them by file name so the ratio can be recomputed later.
-    """
-    import os
-
-    base, _ = os.path.splitext(str(path))
-    f_name = base + ".witness_f.csv"
-    g_name = base + ".witness_g.csv"
-    field_to_csv(estimate.witness_f, f_name)
-    field_to_csv(estimate.witness_g, g_name)
-    body = {
-        "value": estimate.value,
-        "exponents": str(estimate.exponents),
-        "trials": estimate.trials,
-        "seed": estimate.seed,
-        "witness_id_f": estimate.witness_id_f,
-        "witness_id_g": estimate.witness_id_g,
-        "witness_f": os.path.basename(f_name),
-        "witness_g": os.path.basename(g_name),
-        "grid": {"n": estimate.witness_f.grid.n, "N": estimate.witness_f.grid.N,
-                 "L": estimate.witness_f.grid.L},
-    }
-    with open(path, "w") as handle:
-        json.dump(body, handle, indent=2, sort_keys=True)
-        handle.write("\n")

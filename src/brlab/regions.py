@@ -9,12 +9,10 @@ and as an SVG diagram.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grid import ExponentPair
+from .grid import ExponentPair, _as_pair, _exponent_of, write_rows
 
 #: region and statement labels, in fixed statement order
 REGION_I_A = "I_a"
@@ -28,6 +26,9 @@ BASIC = "Basic"
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
+
+#: columns of a region-map row, in the map export and in a single query
+MAP_HEADER = ("inv_p1", "inv_p2", "region", "threshold", "threshold_form")
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,6 @@ class ThresholdForm:
             return f"{self.c_0}"
         sign = "+" if self.c_0 > 0 else "-"
         return f"{self.c_n}*n {sign} {abs(self.c_0)}"
-
-
-def _as_pair(exponents) -> ExponentPair:
-    if isinstance(exponents, ExponentPair):
-        return exponents
-    return ExponentPair(*exponents)
 
 
 def classify(exponents) -> str:
@@ -114,6 +109,11 @@ class IndexResult:
     chosen_form: ThresholdForm
     threshold: Fraction
 
+    def map_row(self) -> list:
+        """This result as one row under :data:`MAP_HEADER`."""
+        ep = self.exponents
+        return [ep.inv1, ep.inv2, self.region, float(self.threshold), self.chosen_form]
+
 
 def smoothness_index(exponents, n: int) -> IndexResult:
     """Minimal applicable smoothness threshold at an exponent pair.
@@ -149,10 +149,6 @@ _REGION_COLORS = {
 }
 
 
-def _exponent_of(inv: Fraction):
-    return math.inf if inv == 0 else 1 / inv
-
-
 def region_grid_export(n: int, resolution: int, csv_path, svg_path) -> None:
     """Write the region map as CSV rows and an 800 x 800 SVG diagram.
 
@@ -172,19 +168,8 @@ def region_grid_export(n: int, resolution: int, csv_path, svg_path) -> None:
             result = smoothness_index(
                 ExponentPair(_exponent_of(inv1), _exponent_of(inv2)), n
             )
-            rows.append(
-                [
-                    str(inv1),
-                    str(inv2),
-                    result.region,
-                    repr(float(result.threshold)),
-                    str(result.chosen_form),
-                ]
-            )
-    with open(csv_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["inv_p1", "inv_p2", "region", "threshold", "threshold_form"])
-        writer.writerows(rows)
+            rows.append(result.map_row())
+    write_rows(csv_path, MAP_HEADER, rows)
     with open(svg_path, "w") as handle:
         handle.write(_region_svg(n, resolution))
 

@@ -1,10 +1,13 @@
-"""Shared test utilities: slow reference sums and error metrics."""
+"""Shared test utilities: slow reference sums, error metrics, CLI artifacts."""
 
+import csv
 import math
+import os
 
 import numpy as np
 from scipy.special import gammaln
 
+from brlab.cli import main
 from brlab.grid import Grid, SampledField
 from brlab.kernel import kernel_radial
 
@@ -132,3 +135,15 @@ def random_field(grid: Grid, seed: int) -> SampledField:
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     return SampledField(grid, values)
+
+
+def cli_artifact(argv, root, name):
+    """Run the CLI into ``root``; return the path of ``name`` in its run dir."""
+    assert main(list(argv) + ["--outdir", str(root)]) == 0
+    (run_dir,) = os.listdir(root)
+    return os.path.join(str(root), run_dir, name)
+
+
+def read_csv_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))

@@ -4,9 +4,13 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from brlab.cli import main
+from brlab.decomposition import DyadicPiece, gamma_decay_check, make_bump, t_j_apply
+from brlab.grid import ExponentPair, Grid, field_from_csv
+from brlab.norms import corollary_experiment, decay_fit
 
 
 def run_cli(argv, root):
@@ -107,6 +111,7 @@ class TestValidation:
         )
         assert rc == 3
         assert read_error(capsys)["error"] == "budget"
+        assert os.listdir(tmp_path) == []  # no field file was written before the refusal
 
     def test_budget_error_exit_code_radial(self, tmp_path, capsys):
         rc, _ = run_cli(
@@ -116,6 +121,24 @@ class TestValidation:
         )
         assert rc == 3
         assert read_error(capsys)["error"] == "budget"
+
+    @pytest.mark.parametrize(
+        "flags,key",
+        [
+            (["evaluate", "--paths", "separable", "--K", "0"], "K"),
+            (["evaluate", "--paths", "radial", "--nodes", "0"], "nodes"),
+            (["kernel", "--check", "envelope", "--M", "0"], "M"),
+        ],
+        ids=["K", "nodes", "M"],
+    )
+    def test_refused_before_any_output(self, flags, key, tmp_path, capsys):
+        argv = flags + (["--alpha", "2", "--N", "64"] if flags[0] == "evaluate" else [])
+        rc, _ = run_cli(argv, tmp_path)
+        assert rc == 2
+        record = read_error(capsys)
+        assert record["error"] == "validation"
+        assert record["key"] == key
+        assert os.listdir(tmp_path) == []
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -216,6 +239,10 @@ class TestDecay:
         rows = load_rows(os.path.join(run_dir, "gamma.csv"))
         assert rows[0] == ["j", "k", "sup_gamma", "normalized"]
         assert len(rows) == 1 + 5 * 17
+        assert rows[1][:2] == ["0", "0"] and rows[-1][:2] == ["4", "16"]
+        report = gamma_decay_check(2.0, 0.5, range(5), range(17), make_bump())
+        assert [float(r[2]) for r in rows[1:]] == report.sup_table.ravel().tolist()
+        assert [float(r[3]) for r in rows[1:]] == report.normalized.ravel().tolist()
 
     def test_tj_mode(self, tmp_path, capsys):
         rc, run_dir = run_cli(
@@ -228,6 +255,17 @@ class TestDecay:
         rows = load_rows(os.path.join(run_dir, "decay.csv"))
         assert rows[0] == ["j", "estimate", "witness_f", "witness_g"]
         assert len(rows) == 6
+        bump = make_bump()
+
+        def family(j):
+            piece = DyadicPiece(j, 2.0)
+            return lambda u, v: t_j_apply(u, v, piece, bump)
+
+        fit = decay_fit(family, ExponentPair(1, 1), Grid(1, 64, 8.0), range(5), 1, 3)
+        assert [float(r[1]) for r in rows[1:]] == list(fit.norms)
+        assert [r[2:] for r in rows[1:]] == [
+            [est.witness_id_f, est.witness_id_g] for est in fit.estimates
+        ]
 
 
 class TestRegions:
@@ -343,6 +381,14 @@ class TestNorms:
             payload = json.load(handle)
         assert payload["value"] > 0
         assert os.path.exists(os.path.join(run_dir, "estimate.witness_f.csv"))
+        est = corollary_experiment(1.5, Grid(1, 64, 8.0), 1, 5)
+        assert payload["value"] == est.value
+        assert payload["grid"] == {"n": 1, "N": 64, "L": 8.0}
+        # the witnesses it names reload to the estimate's own fields
+        for name, witness in ((payload["witness_f"], est.witness_f),
+                              (payload["witness_g"], est.witness_g)):
+            back = field_from_csv(os.path.join(run_dir, name), 8.0)
+            assert np.array_equal(back.values, witness.values)
 
     def test_unknown_experiment(self, tmp_path, capsys):
         rc, _ = run_cli(

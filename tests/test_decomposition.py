@@ -12,16 +12,14 @@ from brlab.decomposition import (
     DyadicPiece,
     GammaTable,
     br_apply_separable,
-    gamma_coeff,
     gamma_decay_check,
-    gamma_report_csv,
     make_bump,
     phi_j_alpha,
     t_j_apply,
 )
 from brlab.grid import Grid, SampledField, make_test_field
 from brlab.operators import BandSpec, MultiplierSpec, band_operator, br_apply_oracle
-from helpers import rel_l2
+from helpers import cli_artifact, read_csv_rows, rel_l2
 
 BUMP = make_bump()
 GRID = Grid(1, 64, 16.0)
@@ -174,7 +172,8 @@ class TestTJApply:
 class TestGammaCoeff:
     def test_k_zero_positive_on_support(self):
         # s = 0.8 puts u = 1 - s^2 t-profiles inside the level-2 window
-        assert gamma_coeff(DyadicPiece(2, 2.0), 0, 0.8, BUMP) > 0.0
+        table = GammaTable.build(DyadicPiece(2, 2.0), BUMP, 0, s_values=[0.8])
+        assert table.values[0, 0] > 0.0
 
     def test_even_in_k_and_s(self):
         rng = np.random.default_rng(21)
@@ -182,10 +181,9 @@ class TestGammaCoeff:
             j = int(rng.integers(0, 6))
             k = int(rng.integers(1, 40))
             s = float(rng.uniform(0, 1))
-            piece = DyadicPiece(j, 1.5)
-            base = gamma_coeff(piece, k, s, BUMP)
-            assert gamma_coeff(piece, -k, s, BUMP) == base
-            assert gamma_coeff(piece, k, -s, BUMP) == base
+            table = GammaTable.build(DyadicPiece(j, 1.5), BUMP, k, s_values=[s, -s])
+            assert table.values[1, k] == table.values[0, k]
+            assert table.sup_over_s(-k) == table.sup_over_s(k)
 
     @pytest.mark.parametrize("s,t", [(0.3, 0.5), (0.55, 0.65)])
     def test_series_reconstruction(self, s, t):
@@ -199,8 +197,9 @@ class TestGammaCoeff:
         assert abs(series - phi_j_alpha(s, t, piece, BUMP)) < 1e-6
 
     def test_rejects_s_outside_unit_interval(self):
-        with pytest.raises(ValueError):
-            gamma_coeff(DyadicPiece(0, 1.0), 0, 1.5, BUMP)
+        for s in (1.5, -1.5):
+            with pytest.raises(ValueError, match=r"\|s\| <= 1"):
+                GammaTable.build(DyadicPiece(0, 1.0), BUMP, 0, s_values=[0.5, s])
 
 
 class TestGammaTable:
@@ -211,9 +210,11 @@ class TestGammaTable:
         assert not table.values.flags.writeable
 
     def test_matches_single_coefficient_route(self):
+        # a row does not depend on the other s values in the batch
         piece = DyadicPiece(3, 2.0)
         table = GammaTable.build(piece, BUMP, 8, s_values=[0.2, 0.9])
-        assert table.values[1, 5] == gamma_coeff(piece, 5, 0.9, BUMP)
+        single = GammaTable.build(piece, BUMP, 8, s_values=[0.9])
+        assert table.values[1, 5] == single.values[0, 5]
 
     def test_sup_over_s_folds_sign(self):
         table = GammaTable.build(DyadicPiece(1, 2.0), BUMP, 8)
@@ -252,12 +253,15 @@ class TestGammaDecay:
 
     def test_csv_export(self, tmp_path):
         report = gamma_decay_check(2.0, 0.5, range(3), range(5), BUMP)
-        path = tmp_path / "decay.csv"
-        gamma_report_csv(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "j,k,sup_gamma,normalized"
+        path = cli_artifact(
+            ["decay", "--mode", "gamma", "--alpha", "2", "--delta", "0.5",
+             "--j-range", "0:2", "--k-max", "4"],
+            tmp_path, "gamma.csv",
+        )
+        lines = read_csv_rows(path)
+        assert lines[0] == ["j", "k", "sup_gamma", "normalized"]
         assert len(lines) == 1 + 3 * 5
-        first = lines[1].split(",")
+        first = lines[1]
         assert first[0] == "0" and first[1] == "0"
         assert float(first[2]) == report.sup_table[0, 0]
 

@@ -1,7 +1,10 @@
 """Tests for grids, fields, transforms, norms, and witness generation."""
 
+import csv
+import inspect
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +16,12 @@ from brlab.grid import (
     SampledField,
     dft_forward,
     dft_inverse,
-    field_from_binary,
     field_from_csv,
-    field_to_binary,
     field_to_csv,
     lp_norm,
     make_test_field,
     modulate,
+    write_rows,
 )
 from helpers import random_field, rel_l2, slow_dft_forward
 
@@ -288,21 +290,34 @@ class TestFieldIO:
             assert back.grid == grid
             assert np.array_equal(back.values, f.values)
 
-    def test_binary_round_trip(self, tmp_path):
-        for grid in [Grid(1, 16, 4.0), Grid(2, 8, 2.0)]:
-            f = random_field(grid, seed=31)
-            path = tmp_path / f"field{grid.n}.bin"
-            field_to_binary(f, path)
-            back = field_from_binary(path, grid.L)
-            assert back.grid == grid
-            assert np.array_equal(back.values, f.values)
+    def test_write_rows_format(self, tmp_path):
+        # a float32 is written as the float64 it widens to, not its own
+        # shortest text "0.1"
+        floats = [
+            1e16, np.float64(1e-5), -0.0, np.float64(5e-324), 0.1 + 0.2, np.float32(0.1)
+        ]
+        row = [*floats, 7, np.int64(-3), Fraction(4, 3), "I_a"]
+        path = tmp_path / "rows.csv"
+        write_rows(path, ["a", "b", "c", "d", "e", "f", "n", "m", "q", "s"], [row])
+        with open(path, newline="") as handle:
+            text = handle.read()
+        assert text == (
+            "a,b,c,d,e,f,n,m,q,s\r\n"
+            "1e+16,1e-05,-0.0,5e-324,0.30000000000000004,0.10000000149011612,7,-3,4/3,I_a\r\n"
+        )
+        with open(path, newline="") as handle:
+            cells = list(csv.reader(handle))[1]
+        for cell, value in zip(cells, floats):
+            assert float(cell).hex() == float(value).hex()
 
-    def test_binary_header_layout(self, tmp_path):
-        grid = Grid(2, 8, 2.0)
-        f = random_field(grid, seed=32)
-        path = tmp_path / "field.bin"
-        field_to_binary(f, path)
-        raw = path.read_bytes()
-        assert len(raw) == 8 + 16 * 8 * 8
-        assert int.from_bytes(raw[0:4], "little") == 2
-        assert int.from_bytes(raw[4:8], "little") == 8
+    def test_csv_writer_only_in_write_rows(self):
+        # the output-file format is decided in one place
+        import brlab.grid
+
+        package = Path(brlab.grid.__file__).parent
+        counts = {
+            path.name: path.read_text().count("csv.writer(")
+            for path in sorted(package.glob("*.py"))
+        }
+        assert {name: c for name, c in counts.items() if c} == {"grid.py": 1}
+        assert "csv.writer(" in inspect.getsource(write_rows)

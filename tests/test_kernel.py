@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import gammaln
+from helpers import cli_artifact, read_csv_rows
 
 from brlab.bessel import AccuracyWarning
 from brlab.decomposition import DyadicPiece, make_bump
@@ -14,13 +15,10 @@ from brlab.kernel import (
     EnvelopeReport,
     KernelPoint,
     dilation_check,
-    envelope_csv,
     envelope_fit,
-    kernel_closed_form,
     kernel_decay_fit,
     kernel_quadrature,
     kernel_radial,
-    kernel_table_csv,
     kj_kernel,
 )
 
@@ -86,7 +84,7 @@ class TestClosedForm:
         for x1, x2 in [(0.5, 0.0), (0.7, 1.1)]:
             pt = KernelPoint(x1, x2)
             expected = brute_force_1d(x1, x2, 2.0)
-            assert_allclose(kernel_closed_form(pt, 2.0, 1), expected, rtol=0, atol=2e-6)
+            assert_allclose(kernel_radial(pt.rho, 2.0, 1), expected, rtol=0, atol=2e-6)
 
     def test_vectorized_matches_scalar(self):
         rhos = np.linspace(0.0, 4.0, 17)
@@ -117,8 +115,8 @@ class TestClosedForm:
             kernel_radial(1.0, 1.0, 0)
         with pytest.raises(ValueError):
             kernel_radial(1.0, 1.0, 1, radius=0.0)
-        with pytest.raises(ValueError):
-            kernel_closed_form(KernelPoint((1.0, 0.0), (0.0, 1.0)), 1.0, 1)
+        with pytest.raises(ValueError, match="dimension"):
+            dilation_check(KernelPoint((1.0, 0.0), (0.0, 1.0)), 1.0, 1, 2.0)
 
     def test_refuses_bessel_order_above_validated_range(self):
         # J_{n+alpha} with n + alpha = 8.5, refused at every rho (rho = 0
@@ -203,7 +201,7 @@ class TestKjKernel:
             total = sum(
                 kj_kernel(pt, DyadicPiece(j, alpha), 1, BUMP) for j in range(13)
             )
-            want = kernel_closed_form(pt, alpha, 1)
+            want = kernel_radial(pt.rho, alpha, 1)
             assert abs(total - want) < 1e-4 * max(abs(want), 1e-3)
 
     def test_deep_slice_is_negligible(self):
@@ -295,15 +293,21 @@ class TestEnvelope:
             envelope_fit(DyadicPiece(0, 1.0), 1, 0.0, sample_points(), BUMP)
 
     def test_csv_export(self, tmp_path):
+        # the CLI samples K_j on this radius grid in both variables
+        radii = [0.0, 0.7, 2.1, 3.5, 7.0, 14.0, 28.0]
+        points = [KernelPoint(a, b) for a in radii for b in radii]
         report = envelope_fit(
-            [DyadicPiece(j, 2.0) for j in range(3)], 1, 2.0, sample_points(), BUMP
+            [DyadicPiece(j, 2.0) for j in range(3)], 1, 2.0, points, BUMP
         )
-        path = tmp_path / "envelope.csv"
-        envelope_csv(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "j,constant"
+        path = cli_artifact(
+            ["kernel", "--check", "envelope", "--alpha", "2", "--M", "2",
+             "--j-range", "0:2"],
+            tmp_path, "envelope.csv",
+        )
+        lines = read_csv_rows(path)
+        assert lines[0] == ["j", "constant"]
         assert len(lines) == 4
-        assert float(lines[1].split(",")[1]) == report.constants[0]
+        assert float(lines[1][1]) == report.constants[0]
 
 
 class TestDecayFit:
@@ -320,12 +324,3 @@ class TestDecayFit:
     def test_validation(self):
         with pytest.raises(ValueError):
             kernel_decay_fit(1.0, 1, rho_lo=5.0, rho_hi=2.0)
-
-    def test_kernel_table_csv(self, tmp_path):
-        path = tmp_path / "kernel.csv"
-        rhos = [0.0, 0.5, 1.0]
-        kernel_table_csv(path, 2.0, 1, rhos)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "rho,value"
-        assert len(lines) == 4
-        assert float(lines[1].split(",")[1]) == kernel_radial(0.0, 2.0, 1)

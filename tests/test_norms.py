@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,16 +14,14 @@ from brlab.norms import (
     DecayFit,
     NormEstimate,
     corollary_experiment,
-    decay_csv,
     decay_fit,
     estimate_bilinear_norm,
-    estimate_json,
     lemma1_scaling_experiment,
     recompute_ratio,
-    scaling_csv,
     witness_catalog,
 )
 from brlab.operators import MultiplierSpec, br_apply_radial
+from helpers import cli_artifact, read_csv_rows
 
 BUMP = make_bump()
 GRID = Grid(1, 256, 8.0)
@@ -141,14 +140,18 @@ class TestDecayFit:
 
     def test_csv_export(self, tmp_path):
         fit = decay_fit(
-            lambda j: product_op, ExponentPair(2, 2), GRID, range(4), 1, seed=0
+            tj_family(2.0), ExponentPair(2, 2), Grid(1, 64, 8.0), range(4), 1, seed=0
         )
-        path = tmp_path / "decay.csv"
-        decay_csv(fit, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "j,estimate,witness_f,witness_g"
+        path = cli_artifact(
+            ["decay", "--mode", "tj", "--alpha", "2", "--p1", "2", "--p2", "2",
+             "--N", "64", "--L", "8", "--j-range", "0:3", "--trials", "1",
+             "--seed", "0"],
+            tmp_path, "decay.csv",
+        )
+        lines = read_csv_rows(path)
+        assert lines[0] == ["j", "estimate", "witness_f", "witness_g"]
         assert len(lines) == 5
-        assert float(lines[1].split(",")[1]) == fit.norms[0]
+        assert float(lines[1][1]) == fit.norms[0]
 
 
 class TestLemma1Scaling:
@@ -180,11 +183,15 @@ class TestLemma1Scaling:
 
     def test_csv_export(self, tmp_path):
         report = lemma1_scaling_experiment(1, 8.0, [1.0, 2.0], GRID, seed=5)
-        path = tmp_path / "scaling.csv"
-        scaling_csv(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "w,estimate,witness"
+        path = cli_artifact(
+            ["norms", "--experiment", "lemma1", "--p", "1", "--b", "8",
+             "--widths", "1,2", "--N", "256", "--L", "8", "--seed", "5"],
+            tmp_path, "scaling.csv",
+        )
+        lines = read_csv_rows(path)
+        assert lines[0] == ["w", "estimate", "witness"]
         assert len(lines) == 3
+        assert [float(row[1]) for row in lines[1:]] == list(report.estimates)
 
 
 class TestCorollary:
@@ -211,10 +218,15 @@ class TestCorollary:
 
     def test_json_export(self, tmp_path):
         est = corollary_experiment(1.5, Grid(1, 128, 16.0), 1, seed=2)
-        path = tmp_path / "estimate.json"
-        estimate_json(est, path)
-        body = json.loads(path.read_text())
+        path = cli_artifact(
+            ["norms", "--experiment", "corollary", "--alpha", "1.5", "--N", "128",
+             "--L", "16", "--trials", "1", "--seed", "2"],
+            tmp_path, "estimate.json",
+        )
+        with open(path) as handle:
+            body = json.load(handle)
         assert body["value"] == est.value
-        assert (tmp_path / body["witness_f"]).exists()
-        assert (tmp_path / body["witness_g"]).exists()
+        run_dir = os.path.dirname(path)
+        assert os.path.exists(os.path.join(run_dir, body["witness_f"]))
+        assert os.path.exists(os.path.join(run_dir, body["witness_g"]))
         assert body["grid"] == {"n": 1, "N": 128, "L": 16.0}
