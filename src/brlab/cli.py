@@ -336,7 +336,7 @@ def _cmd_decay(args, run_dir: str) -> dict:
 
 def _cmd_regions(args, run_dir: str) -> dict:
     n = int(args.n)
-    config = {"n": n, "seed": 0}
+    config = {"n": n, "seed": args.run_seed}
     if args.p1 is not None or args.p2 is not None:
         # probe each provided exponent alone so a domain error names it
         # even when the other flag is missing
@@ -374,7 +374,7 @@ def _cmd_kernel(args, run_dir: str) -> dict:
         )
     n = int(args.n)
     alpha = _number(args.alpha, "alpha")
-    config = {"check": args.check, "n": n, "alpha": alpha, "seed": 0}
+    config = {"check": args.check, "n": n, "alpha": alpha, "seed": args.run_seed}
     if args.check in ("sweep", "dilation"):
         points = int(args.points)
         rho_max = _number(args.rho_max, "rho_max")
@@ -532,7 +532,7 @@ def _cmd_bessel_check(args, run_dir: str) -> dict:
         "points": points,
         "r_min": r_min,
         "r_max": r_max,
-        "seed": 0,
+        "seed": args.run_seed,
     }
 
 

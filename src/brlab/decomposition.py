@@ -18,7 +18,12 @@ from scipy.interpolate import CubicSpline
 
 from ._fit import least_squares_slope
 from .grid import SampledField, dft_forward, dft_inverse
-from .operators import DEFAULT_BUDGET, _require_same_grid, bilinear_frequency_apply
+from .operators import (
+    DEFAULT_BUDGET,
+    _require_same_grid,
+    bilinear_frequency_apply,
+    pair_plan,
+)
 
 #: nodes of the uniform t-quadrature behind every coefficient computation
 COEFF_GRID = 4096
@@ -117,6 +122,10 @@ def slice_weight_of_square_sum(piece: DyadicPiece, bump: BumpFunction):
     return weight
 
 
+#: (piece, bump, grid) and pair plan of the last piece t_j_apply built
+_last_plan: list = [None, None]
+
+
 def t_j_apply(
     f: SampledField,
     g: SampledField,
@@ -124,10 +133,22 @@ def t_j_apply(
     bump: BumpFunction,
     budget: int = DEFAULT_BUDGET,
 ) -> SampledField:
-    """One dyadic piece of the bilinear operator, by the frequency double sum."""
-    return bilinear_frequency_apply(
-        f, g, slice_weight_of_square_sum(piece, bump), support_radius=1.0, budget=budget
-    )
+    """One dyadic piece of the bilinear operator, by the frequency double sum.
+
+    The slice weight is evaluated once per (piece, bump, grid) into a pair
+    plan of 32 bytes per nonzero-weight pair (at most 32 bytes times the
+    P^2 budget), which later applies of the same piece (equal by value),
+    bump (the same object) and grid reuse.  Only the last plan is kept, and
+    it is dropped before the next one is built.  ``budget`` caps the P^2
+    in-ball pairs on every call.
+    """
+    grid = _require_same_grid(f, g)
+    key = _last_plan[0]
+    if key is None or key[0] != piece or key[1] is not bump or key[2] != grid:
+        _last_plan[:] = [None, None]
+        weight = slice_weight_of_square_sum(piece, bump)
+        _last_plan[:] = [(piece, bump, grid), pair_plan(grid, weight, 1.0, budget)]
+    return bilinear_frequency_apply(f, g, _last_plan[1], 1.0, budget)
 
 
 def _coeff_table(piece: DyadicPiece, bump: BumpFunction, s_values, k_max: int) -> np.ndarray:

@@ -5,8 +5,10 @@ sum_{xi, eta} W(|xi|^2 + |eta|^2) f-hat(xi) g-hat(eta) e^{2 pi i x.(xi+eta)}
 with Riemann-sum measure weights.  W vanishes outside a ball, so one engine
 sums over the pairs of lattice points inside it: the oracle path and the
 dyadic pieces with exact radii, the binned radial path with radii snapped to
-bin centres.  The kernel path, an independent cross-check, crosses over to
-physical space via the closed-form kernel.
+bin centres.  One-off applies weigh their pairs block by block; a pair plan
+weighs them once and keeps only the nonzero-weight pairs, for operators
+applied many times (the dyadic pieces).  The kernel path, an independent
+cross-check, crosses over to physical space via the closed-form kernel.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from .bessel import AccuracyWarning
 from .grid import Grid, SampledField, dft_forward, dft_inverse
 from .kernel import kernel_radial
 
-#: cap on the pairs a path visits: in-ball frequency pairs, or kernel shells x points
+#: cap on the pairs a path visits: in-ball frequency pairs, or kernel shells x points;
+#: a pair plan holds 32 bytes per nonzero-weight pair, at most 32 x this (2 GiB)
 DEFAULT_BUDGET = 1 << 26
-#: most frequency pairs the engine weighs at once, which bounds its memory
+#: most frequency pairs the engine weighs at once, which bounds its working memory;
+#: a pair plan keeps the nonzero-weight pairs of all its blocks, 32 bytes each
 _PAIR_BLOCK = 1 << 18
 
 
@@ -98,33 +102,88 @@ def _check_budget(pairs: int, budget: int) -> None:
         )
 
 
-def _pair_sum(
-    f: SampledField, g: SampledField, weight_of_square_sum, keep, radii_sq, budget: int
-) -> SampledField:
-    """The frequency double sum over pairs of the lattice points where ``keep`` holds.
+def _pair_blocks(grid: Grid, weight_of_square_sum, keep, radii_sq):
+    """The pairs of the lattice points where ``keep`` holds, in dense blocks.
 
-    ``radii_sq`` lists the kept points' squared radii in storage order.  Each
-    target xi + eta sums its pair products in increasing xi order, and every
-    block of xi rows starts from the running totals, so the output bits do
-    not depend on the block size.
+    ``radii_sq`` lists the kept points' squared radii in storage order.  A
+    block is (first, second, weight, target) over every pair of a run of
+    xi rows, at most ``_PAIR_BLOCK`` pairs: the index of xi (a column of
+    rows) and of eta among the kept points, the pair weights and the flat
+    targets xi + eta, in increasing xi order.
     """
-    grid = f.grid
-    count = int(np.count_nonzero(keep))
-    _check_budget(count * count, budget)
-    F = dft_forward(f).values[keep]
-    G = dft_forward(g).values[keep]
+    count = radii_sq.size
     points = np.nonzero(keep)
-    lattice = np.arange(grid.N**grid.n)
-    re = im = np.zeros(lattice.size)
     rows = max(1, _PAIR_BLOCK // max(count, 1))
     for start in range(0, count, rows):
         block = slice(start, start + rows)
-        pairs = (F[block, None] * weight_of_square_sum(radii_sq[block, None] + radii_sq)) * G
+        weight = weight_of_square_sum(radii_sq[block, None] + radii_sq)
         target = [p[block, None] + p for p in points]
-        target = np.ravel_multi_index(target, grid.shape, mode="wrap").ravel()
-        target = np.concatenate([lattice, target])
-        re = np.bincount(target, np.concatenate([re, pairs.real.ravel()]))
-        im = np.bincount(target, np.concatenate([im, pairs.imag.ravel()]))
+        target = np.ravel_multi_index(target, grid.shape, mode="wrap")
+        yield (block, None), slice(None), weight, target
+
+
+@dataclass(frozen=True, eq=False)
+class PairPlan:
+    """The nonzero-weight pairs of one weight on one grid, for repeated applies.
+
+    Built by :func:`pair_plan`; ``count`` is the number P of kept lattice
+    points, so an apply is charged P^2 pairs whatever the plan keeps.  Each
+    block holds its pairs as index arrays, 32 bytes per pair (two point
+    indices, a weight and a target).
+    """
+
+    grid: Grid
+    support_radius: float
+    keep: np.ndarray
+    count: int
+    blocks: tuple
+
+
+def _in_ball(grid: Grid, support_radius: float):
+    radii_sq = grid.freq_radii() ** 2
+    keep = radii_sq <= float(support_radius) ** 2
+    return keep, radii_sq[keep]
+
+
+def pair_plan(
+    grid: Grid, weight_of_square_sum, support_radius: float, budget: int = DEFAULT_BUDGET
+) -> PairPlan:
+    """Weigh the in-ball pairs once and keep those of nonzero weight.
+
+    Pass the plan to :func:`bilinear_frequency_apply` in place of the weight
+    to apply the same operator again without re-evaluating it; the outputs
+    are bitwise those of the weight itself.  ``budget`` caps the P^2 pairs
+    weighed, and the plan holds at most 32 bytes per pair of that budget.
+    """
+    keep, radii_sq = _in_ball(grid, support_radius)
+    _check_budget(radii_sq.size**2, budget)
+    blocks = []
+    for (rows, _), _, weight, target in _pair_blocks(grid, weight_of_square_sum, keep, radii_sq):
+        first, second = np.nonzero(weight)
+        if first.size:
+            kept = (first, second)
+            blocks.append((first + rows.start, second, weight[kept], target[kept]))
+    return PairPlan(grid, float(support_radius), keep, radii_sq.size, tuple(blocks))
+
+
+def _pair_sum(f: SampledField, g: SampledField, keep, blocks) -> SampledField:
+    """Scatter each block's pair products onto the running totals, then invert.
+
+    Each target xi + eta sums its pair products in increasing xi order, and
+    every block starts from the running totals, so the output bits depend
+    neither on the block size nor on whether zero-weight pairs (which add
+    a signed zero) are kept.
+    """
+    grid = f.grid
+    F = dft_forward(f).values[keep]
+    G = dft_forward(g).values[keep]
+    lattice = np.arange(grid.N**grid.n)
+    re = im = np.zeros(lattice.size)
+    for first, second, weight, target in blocks:
+        pairs = ((F[first] * weight) * G[second]).ravel()
+        target = np.concatenate([lattice, target.ravel()])
+        re = np.bincount(target, np.concatenate([re, pairs.real]))
+        im = np.bincount(target, np.concatenate([im, pairs.imag]))
     acc = (re + 1j * im).reshape(grid.shape)
     return dft_inverse(SampledField(grid, acc)) * (1.0 / grid.L**grid.n)
 
@@ -139,13 +198,25 @@ def bilinear_frequency_apply(
     """The frequency double sum over the P lattice points in a ball.
 
     ``weight_of_square_sum`` maps |xi|^2 + |eta|^2 (array) to multiplier
-    values and must vanish beyond ``support_radius``^2.  ``budget`` caps the
-    P^2 pairs visited.  The result is bit-reproducible.
+    values and must vanish beyond ``support_radius``^2; it is evaluated
+    block by block, with at most ``_PAIR_BLOCK`` pairs in memory.  It may
+    also be a :class:`PairPlan` built for this grid and radius, which
+    applies without evaluating the weight and holds 32 bytes per
+    nonzero-weight pair, at most 32 bytes times the P^2 budget it was
+    built under; :func:`~brlab.decomposition.t_j_apply` keeps one plan
+    alive at a time.  ``budget`` caps the P^2 pairs visited, on every
+    call.  The result is bit-reproducible.
     """
     grid = _require_same_grid(f, g)
-    radii_sq = grid.freq_radii() ** 2
-    keep = radii_sq <= float(support_radius) ** 2
-    return _pair_sum(f, g, weight_of_square_sum, keep, radii_sq[keep], budget)
+    if isinstance(weight_of_square_sum, PairPlan):
+        plan = weight_of_square_sum
+        if plan.grid != grid or plan.support_radius != float(support_radius):
+            raise ValueError("pair plan was built for another grid or support radius")
+        _check_budget(plan.count**2, budget)
+        return _pair_sum(f, g, plan.keep, plan.blocks)
+    keep, radii_sq = _in_ball(grid, support_radius)
+    _check_budget(radii_sq.size**2, budget)
+    return _pair_sum(f, g, keep, _pair_blocks(grid, weight_of_square_sum, keep, radii_sq))
 
 
 def br_apply_oracle(
@@ -252,7 +323,8 @@ def br_apply_radial(
     bins = np.floor(grid.freq_radii() / width)
     keep = bins < nodes
     centres_sq = ((bins[keep] + 0.5) * width) ** 2
-    return _pair_sum(f, g, spec.weight_of_square_sum, keep, centres_sq, budget)
+    _check_budget(centres_sq.size**2, budget)
+    return _pair_sum(f, g, keep, _pair_blocks(grid, spec.weight_of_square_sum, keep, centres_sq))
 
 
 def br_apply_kernel(

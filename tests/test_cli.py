@@ -167,6 +167,25 @@ class TestRunLayout:
         assert manifest["outputs"] == ["bessel.csv"]
         assert "version" in manifest
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--N", "64", "--alpha", "2", "--paths", "oracle"],
+            ["decay", "--mode", "gamma", "--alpha", "2", "--j-range", "0:4", "--k-max", "16"],
+            ["regions", "--p1", "2", "--p2", "2"],
+            ["kernel", "--check", "sweep", "--points", "4", "--rho-max", "10"],
+            ["norms", "--experiment", "lemma1", "--p", "2", "--widths", "1,2"],
+            ["bessel-check", "--points", "4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_manifest_records_the_given_seed(self, tmp_path, argv):
+        rc, run_dir = run_cli(argv + ["--seed", "7"], tmp_path)
+        assert rc == 0
+        assert run_dir.endswith("-seed7")
+        with open(os.path.join(run_dir, "manifest.json")) as handle:
+            assert json.load(handle)["config"]["seed"] == 7
+
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BRLAB_OUTPUT_ROOT", str(tmp_path))
         rc = main(["regions", "--n", "2", "--p1", "2", "--p2", "2"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from brlab import decomposition, operators
 from brlab.decomposition import (
     COEFF_GRID,
     BumpFunction,
@@ -15,11 +16,20 @@ from brlab.decomposition import (
     gamma_decay_check,
     make_bump,
     phi_j_alpha,
+    slice_weight_of_square_sum,
     t_j_apply,
 )
-from brlab.grid import Grid, SampledField, make_test_field
-from brlab.operators import BandSpec, MultiplierSpec, band_operator, br_apply_oracle
-from helpers import cli_artifact, read_csv_rows, rel_l2
+from brlab.grid import ExponentPair, Grid, SampledField, make_test_field
+from brlab.norms import decay_fit
+from brlab.operators import (
+    BandSpec,
+    BudgetError,
+    MultiplierSpec,
+    band_operator,
+    bilinear_frequency_apply,
+    br_apply_oracle,
+)
+from helpers import cli_artifact, random_field, read_csv_rows, rel_l2
 
 BUMP = make_bump()
 GRID = Grid(1, 64, 16.0)
@@ -167,6 +177,128 @@ class TestTJApply:
         other = make_test_field("gaussian", {"width": 1.0}, Grid(1, 32, 16.0))
         with pytest.raises(ValueError):
             t_j_apply(f, other, DyadicPiece(0, 1.0), BUMP)
+
+
+def streamed_piece(f, g, piece, bump=BUMP):
+    """The piece through the weight callable, with no plan."""
+    return bilinear_frequency_apply(f, g, slice_weight_of_square_sum(piece, bump), 1.0)
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """An empty plan slot, and the list of the grid of every plan built."""
+    monkeypatch.setattr(decomposition, "_last_plan", [None, None])
+    builds = []
+    build = decomposition.pair_plan
+
+    def counted(grid, weight, support_radius, budget):
+        plan = build(grid, weight, support_radius, budget)
+        builds.append(grid)
+        return plan
+
+    monkeypatch.setattr(decomposition, "pair_plan", counted)
+    return builds
+
+
+class TestPairPlan:
+    @pytest.mark.parametrize("block", [None, 100])
+    @pytest.mark.parametrize("grid", [Grid(1, 256, 32.0), Grid(2, 16, 4.0)], ids=["1d", "2d"])
+    def test_memo_hit_and_fresh_build_are_bitwise_equal(
+        self, plan_builds, monkeypatch, grid, block
+    ):
+        if block is not None:
+            monkeypatch.setattr(operators, "_PAIR_BLOCK", block)
+        f, g = random_field(grid, seed=81), random_field(grid, seed=82)
+        piece = DyadicPiece(1, 2.0)
+        fresh = t_j_apply(f, g, piece, BUMP).values
+        hit = t_j_apply(f, g, piece, BUMP).values
+        assert len(plan_builds) == 1
+        assert np.array_equal(fresh, hit)
+        assert np.array_equal(fresh, streamed_piece(f, g, piece).values)
+
+    def test_plan_keeps_exactly_the_nonzero_weight_pairs(self, plan_builds, monkeypatch):
+        monkeypatch.setattr(operators, "_PAIR_BLOCK", 100)
+        grid = Grid(1, 256, 32.0)
+        radii_sq = grid.freq_radii()[grid.freq_radii() <= 1.0] ** 2
+        for j in (0, 8):
+            piece = DyadicPiece(j, 2.0)
+            f = random_field(grid, seed=83)
+            t_j_apply(f, f, piece, BUMP)
+            plan = decomposition._last_plan[1]
+            weight = slice_weight_of_square_sum(piece, BUMP)(np.add.outer(radii_sq, radii_sq))
+            assert plan.count == radii_sq.size
+            kept = sum(block[0].size for block in plan.blocks)
+            assert kept == np.count_nonzero(weight)
+        assert kept == 24  # level 8 keeps 24 of 65^2 pairs at L = 32
+
+    def test_piece_bump_or_grid_change_rebuilds(self, plan_builds):
+        grid = Grid(1, 64, 16.0)
+        f, g = random_field(grid, seed=84), random_field(grid, seed=85)
+        other_bump = make_bump()
+        coarse = Grid(1, 64, 8.0)
+        fc, gc = random_field(coarse, seed=84), random_field(coarse, seed=85)
+        calls = [
+            (f, g, DyadicPiece(2, 2.0), BUMP, 1),
+            (f, g, DyadicPiece(2, 2), BUMP, 1),  # equal by value: a hit
+            (f, g, DyadicPiece(3, 2.0), BUMP, 2),
+            (f, g, DyadicPiece(3, 2.0), other_bump, 3),
+            (fc, gc, DyadicPiece(3, 2.0), other_bump, 4),
+            (f, g, DyadicPiece(3, 2.0), other_bump, 5),
+        ]
+        for u, v, piece, bump, built in calls:
+            out = t_j_apply(u, v, piece, bump).values
+            assert len(plan_builds) == built
+            assert plan_builds[-1] == u.grid
+            assert np.array_equal(out, streamed_piece(u, v, piece, bump).values)
+
+    def test_memo_hit_still_checks_the_budget(self, plan_builds):
+        grid = Grid(1, 64, 16.0)  # 33 in-ball points, 1,089 pairs
+        f = random_field(grid, seed=86)
+        piece = DyadicPiece(0, 2.0)
+        t_j_apply(f, f, piece, BUMP)
+        with pytest.raises(BudgetError):
+            t_j_apply(f, f, piece, BUMP, budget=1_000)
+        assert len(plan_builds) == 1
+
+    def test_budget_is_checked_before_a_build(self, plan_builds):
+        f = random_field(Grid(1, 64, 16.0), seed=87)
+        with pytest.raises(BudgetError):
+            t_j_apply(f, f, DyadicPiece(0, 2.0), BUMP, budget=1_000)
+        assert decomposition._last_plan == [None, None]
+
+    def test_plan_for_another_grid_is_refused(self, plan_builds):
+        f = random_field(Grid(1, 64, 16.0), seed=88)
+        t_j_apply(f, f, DyadicPiece(0, 2.0), BUMP)
+        plan = decomposition._last_plan[1]
+        other = random_field(Grid(1, 64, 8.0), seed=88)
+        with pytest.raises(ValueError):
+            bilinear_frequency_apply(other, other, plan, 1.0)
+        with pytest.raises(ValueError):
+            bilinear_frequency_apply(f, f, plan, 0.5)
+
+    def test_decay_fit_weighs_each_level_once(self, monkeypatch):
+        monkeypatch.setattr(decomposition, "_last_plan", [None, None])
+        calls = []
+        make_weight = decomposition.slice_weight_of_square_sum
+
+        def counted(piece, bump):
+            weight = make_weight(piece, bump)
+            calls.append([piece.j, 0])
+
+            def counted_weight(s_sq):
+                calls[-1][1] += 1
+                return weight(s_sq)
+
+            return counted_weight
+
+        monkeypatch.setattr(decomposition, "slice_weight_of_square_sum", counted)
+
+        def family(j):
+            piece = DyadicPiece(int(j), 2.0)
+            return lambda u, v: t_j_apply(u, v, piece, BUMP)
+
+        decay_fit(family, ExponentPair(1, 1), Grid(1, 256, 32.0), range(9), trials=1, seed=20)
+        assert calls == [[j, 1] for j in range(9)]
 
 
 class TestGammaCoeff:
