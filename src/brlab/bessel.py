@@ -203,6 +203,11 @@ def _surface_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.exp(gammaln(n / 2.0))
 
 
+def _point_radius(x) -> float:
+    """|x| exactly as :func:`sphere_ft` computes it (a scalar is a 1-d point)."""
+    return float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+
+
 def sphere_ft(lam, x, n: int):
     """Fourier transform of the dilated sphere surface measure.
 
@@ -231,7 +236,7 @@ def sphere_ft(lam, x, n: int):
     lam_arr, scalar = np.atleast_1d(np.asarray(lam, dtype=float)), np.ndim(lam) == 0
     if np.any(lam_arr <= 0):
         raise ValueError("dilation parameter must satisfy lambda > 0")
-    radius = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float))))
+    radius = _point_radius(x)
     z = 2.0 * math.pi * lam_arr * radius
     if n == 1:
         out = 2.0 * np.cos(z)

@@ -373,6 +373,14 @@ def _cmd_kernel(args, run_dir: str) -> dict:
             "check", f"check must be sweep, dilation, or envelope, got {args.check!r}"
         )
     n = int(args.n)
+    # the piece kernels need J_{n-1}, the closed form J_{n+alpha} with alpha >= 0
+    order = n - 1 if args.check == "envelope" else n
+    if order > MAX_VALIDATED_ORDER:
+        raise CliError(
+            "n",
+            f"the {args.check} check in dimension n={n} needs Bessel order at least"
+            f" {order}, above {MAX_VALIDATED_ORDER:g}, the validated maximum",
+        )
     alpha = _number(args.alpha, "alpha")
     config = {"check": args.check, "n": n, "alpha": alpha, "seed": args.run_seed}
     if args.check in ("sweep", "dilation"):

@@ -5,11 +5,12 @@ import math
 import os
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_legendre
 
+from brlab.bessel import sphere_ft
 from brlab.cli import main
 from brlab.grid import Grid, SampledField
-from brlab.kernel import kernel_radial
+from brlab.kernel import _auto_nodes, _polar_angle_rule, _slice_edges, kernel_radial
 
 
 def slow_dft_forward(f: SampledField) -> np.ndarray:
@@ -91,6 +92,33 @@ def literal_kernel_sum(f: SampledField, g: SampledField, spec, point_sq=None):
     cell = grid.cell_volume
     scale = np.sum(np.abs(kernel)) * np.max(np.abs(f.values)) * np.max(np.abs(g.values))
     return out * cell**2, float(scale * cell**2)
+
+
+def polar_kj_kernel(pt, piece, n: int, bump, radial_nodes: int = 512) -> float:
+    """Piece kernel K_j(x1, x2) by polar double quadrature of sphere transforms.
+
+    The independent check of ``brlab.kernel.kj_kernel``'s 1-D radial route:
+    integrates m_j(r) phi_{r cos th}(x1) phi_{r sin th}(x2) (r cos th)^{n-1}
+    (r sin th)^{n-1} r dr dth, with m_j = (1 - r^2)^alpha bump(2^j (1 - r^2)),
+    by Gauss-Legendre on the slice annulus (at least ``radial_nodes`` nodes,
+    more as rho grows) and the angular rule of ``kernel_quadrature``.
+    """
+    j, alpha = int(piece.j), float(piece.alpha)
+    r_lo, r_hi = _slice_edges(j)
+    if not r_hi > r_lo:
+        return 0.0
+    G_r = max(radial_nodes, 16 + math.ceil(3.6 * (r_hi - r_lo) * pt.rho))
+    t, w = roots_legendre(G_r)
+    r = r_lo + (r_hi - r_lo) * (t + 1.0) / 2.0
+    u = 1.0 - r**2
+    profile = u**alpha * np.asarray(bump((2.0**j) * u)) * r ** (2 * n - 1)
+    cos_t, sin_t, theta_w = _polar_angle_rule(_auto_nodes(None, pt.rho * r_hi), n)
+
+    def table(trig, x):
+        return sphere_ft(np.outer(r, trig).ravel(), x, n).reshape(G_r, len(trig))
+
+    pair = (table(cos_t, pt.x1) * table(sin_t, pt.x2)) @ theta_w
+    return float((r_hi - r_lo) / 2.0 * np.sum(w * profile * pair))
 
 
 def per_term_stop_series(k: float, r: np.ndarray) -> np.ndarray:

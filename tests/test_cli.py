@@ -354,6 +354,20 @@ class TestKernel:
         assert read_error(capsys)["key"] == "alpha"
         assert os.listdir(tmp_path) == []  # tmp_path existed before the run, so it stays
 
+    def test_envelope_dimension_above_validated_range_rejected(self, tmp_path, capsys):
+        # the piece kernels need J_{n-1}, order 9 at n = 10
+        rc, _ = run_cli(["kernel", "--check", "envelope", "--n", "10"], tmp_path)
+        assert rc == 2
+        assert read_error(capsys)["key"] == "n"
+        assert os.listdir(tmp_path) == []
+
+    def test_envelope_at_largest_validated_dimension(self, tmp_path):
+        rc, run_dir = run_cli(
+            ["kernel", "--check", "envelope", "--n", "9", "--j-range", "0:1"], tmp_path
+        )
+        assert rc == 0
+        assert len(load_rows(os.path.join(run_dir, "envelope.csv"))) == 3
+
     def test_dilation_residuals(self, tmp_path):
         rc, run_dir = run_cli(
             ["kernel", "--check", "dilation", "--R", "2", "--n", "1",

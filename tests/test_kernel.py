@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import gammaln
-from helpers import cli_artifact, read_csv_rows
+from scipy.special import gammaln, roots_legendre
+from helpers import cli_artifact, polar_kj_kernel, read_csv_rows
 
+from brlab import kernel
 from brlab.bessel import AccuracyWarning
 from brlab.decomposition import DyadicPiece, make_bump
 from brlab.kernel import (
+    NODE_CAP,
     EnvelopeReport,
     KernelPoint,
     dilation_check,
@@ -152,6 +154,34 @@ class TestQuadrature:
         v2 = kernel_quadrature(KernelPoint(1.2, 0.4), 1.5, 1)
         assert_allclose(v1, v2, rtol=1e-12)
 
+    @pytest.mark.parametrize("x1,x2,tables", [(0.9, 0.9, 1), (-0.9, 0.9, 1), (0.4, 1.2, 2)])
+    def test_one_sphere_table_per_distinct_radius(self, monkeypatch, x1, x2, tables):
+        calls, sphere_ft = [], kernel.sphere_ft
+
+        def counted(lam, x, n):
+            calls.append(x)
+            return sphere_ft(lam, x, n)
+
+        monkeypatch.setattr(kernel, "sphere_ft", counted)
+        kernel_quadrature(KernelPoint(x1, x2), 2.0, 1)
+        assert len(calls) == tables
+
+    @pytest.mark.parametrize("nodes", [5, 128, 129, 800])
+    def test_angle_rule_sine_is_the_reversed_cosine(self, nodes):
+        cos_t, sin_t, _ = kernel._polar_angle_rule(nodes, 2)
+        theta = (math.pi / 4.0) * (roots_legendre(nodes)[0] + 1.0)
+        assert np.array_equal(sin_t, cos_t[::-1])
+        # 2 ulp of 1, the scale of the values: near theta = 0 the angle itself
+        # carries an absolute rounding of that size, whichever way it is taken
+        assert np.max(np.abs(sin_t - np.sin(theta))) <= 2 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("nodes", [128, 129, 800, NODE_CAP])
+    def test_legendre_rule_is_bitwise_mirror_symmetric(self, nodes):
+        # the shared sphere tables rely on this; a scipy change must fail here
+        t, v = roots_legendre(nodes)
+        assert np.array_equal(t, -t[::-1])
+        assert np.array_equal(v, v[::-1])
+
     def test_oscillation_budget_warns(self):
         with pytest.warns(AccuracyWarning):
             kernel_quadrature(KernelPoint(60.0, 0.0), 1.0, 1)
@@ -224,12 +254,42 @@ class TestKjKernel:
             kj_kernel(KernelPoint((1.0, 0.0), (0.0, 0.0)), DyadicPiece(0, 1.0), 1, BUMP)
 
     @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    def test_matches_polar_quadrature(self, n, alpha):
+        # the polar double quadrature of sphere transforms is the independent
+        # route; points split rho between x1 and x2 in several ways
+        pad = (0.0,) * (n - 1)
+        splits = [(0.0, 0.0), (0.5, 0.0), (2.1, 2.1), (7.2, 9.6), (0.0, 23.0), (30.0, 40.0)]
+        points = [KernelPoint((a,) + pad, (b,) + pad) for a, b in splits]
+        for j in (0, 3, 6):
+            piece = DyadicPiece(j, alpha)
+            got = kj_kernel(points, piece, n, BUMP)
+            want = np.array([polar_kj_kernel(pt, piece, n, BUMP) for pt in points])
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_one_bessel_evaluation_per_distinct_nonzero_rho(self, monkeypatch):
+        orders, bessel_j = [], kernel.bessel_j
+
+        def counted(k, r):
+            orders.append(k)
+            return bessel_j(k, r)
+
+        monkeypatch.setattr(kernel, "bessel_j", counted)
+        # rho = 0, 5 (twice, swapped) and 1.25
+        points = [KernelPoint(0.0, 0.0), KernelPoint(3.0, 4.0), KernelPoint(4.0, 3.0),
+                  KernelPoint(0.75, 1.0), KernelPoint(0.0, 0.0)]
+        kj_kernel(points, DyadicPiece(2, 2.0), 1, BUMP)
+        assert orders == [0, 0]
+
+    @pytest.mark.filterwarnings("ignore::brlab.bessel.AccuracyWarning")
+    @pytest.mark.parametrize("n", [1, 2])
     def test_batch_matches_single_points_bitwise(self, n):
-        # a product grid with the origin and swapped pairs; the largest rho
-        # needs more nodes than the floor, so several node-count groups form
+        # a product grid with the origin and swapped pairs, plus a rho beyond
+        # the budget that needs more nodes than the floor, so two rules form
         pad = (0.0,) * (n - 1)
         radii = (0.0, 0.7, 3.5, 14.0, 28.0)
         points = [KernelPoint((a,) + pad, (b,) + pad) for a in radii for b in radii]
+        points.append(KernelPoint((200.0,) + pad, (0.0,) + pad))
         for piece in (DyadicPiece(0, 2.0), DyadicPiece(3, 1.5)):
             batch = kj_kernel(points, piece, n, BUMP)
             single = np.array([kj_kernel(pt, piece, n, BUMP) for pt in points])
