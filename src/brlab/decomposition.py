@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._fit import least_squares_slope
 from .grid import SampledField, dft_forward, dft_inverse
@@ -27,28 +26,19 @@ from .operators import (
 
 #: nodes of the uniform t-quadrature behind every coefficient computation
 COEFF_GRID = 4096
-#: nodes of the bump's interpolation table
-_BUMP_TABLE = 8193
 
 
 class BumpFunction:
-    """Smooth dyadic partition profile, tabulated with cubic interpolation.
+    """Smooth dyadic partition profile, in closed form.
 
-    The profile is supported on [1/2, 2], nonnegative, and normalized so
-    that sum over j in Z of value(2^j s) is exactly 1 for every s > 0.
-    Construction tabulates the normalized values densely and interpolation
-    stays within ~1e-13 of them, so partition checks at 1e-10 pass with
-    margin.
+    The raw profile is supported on [1/2, 2], so on (1/2, 2) only the
+    j in {-1, 0, 1} terms of its dyadic sum are nonzero, and the normalized
+    profile is exactly raw(s) / (raw(s/2) + raw(s) + raw(2s)); the
+    denominator never vanishes there.  It is zero outside (1/2, 2), and
+    sum over j in Z of value(2^j s) is 1 for every s > 0 up to rounding.
     """
 
     support = (0.5, 2.0)
-
-    def __init__(self, table_s: np.ndarray, table_phi: np.ndarray):
-        self.table_s = np.asarray(table_s, dtype=float)
-        self.table_phi = np.asarray(table_phi, dtype=float)
-        self.table_s.flags.writeable = False
-        self.table_phi.flags.writeable = False
-        self._spline = CubicSpline(self.table_s, self.table_phi, bc_type="natural")
 
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)
@@ -58,7 +48,9 @@ class BumpFunction:
         lo, hi = self.support
         inside = (s_arr > lo) & (s_arr < hi)
         if np.any(inside):
-            out[inside] = np.maximum(self._spline(s_arr[inside]), 0.0)
+            s_in = s_arr[inside]
+            raw = _raw_profile(s_in)
+            out[inside] = raw / (_raw_profile(0.5 * s_in) + raw + _raw_profile(2.0 * s_in))
         return float(out[0]) if scalar else out
 
 
@@ -72,20 +64,8 @@ def _raw_profile(s: np.ndarray) -> np.ndarray:
 
 
 def make_bump() -> BumpFunction:
-    """Build the normalized partition profile.
-
-    Normalizes the raw compactly supported profile by its own dyadic sum,
-    which is multiplicatively 2-periodic, so the partition identity holds
-    by construction at the table nodes.
-    """
-    s = np.linspace(0.5, 2.0, _BUMP_TABLE)
-    dyadic_sum = np.zeros_like(s)
-    for j in range(-3, 4):
-        dyadic_sum += _raw_profile((2.0**j) * s)
-    values = np.zeros_like(s)
-    positive = dyadic_sum > 0
-    values[positive] = _raw_profile(s[positive]) / dyadic_sum[positive]
-    return BumpFunction(s, values)
+    """The normalized partition profile (see :class:`BumpFunction`)."""
+    return BumpFunction()
 
 
 @dataclass(frozen=True)
@@ -101,14 +81,17 @@ class DyadicPiece:
         if not self.alpha > 0:
             raise ValueError(f"smoothness must satisfy alpha > 0, got {self.alpha}")
 
+    def multiplier(self, u, bump: BumpFunction) -> np.ndarray:
+        """Slice multiplier m_j(u) = u_+^alpha bump(2^j u) on an array of u."""
+        return np.where(u > 0, np.abs(u) ** self.alpha, 0.0) * bump((2.0**self.j) * u)
+
 
 def phi_j_alpha(s, t, piece: DyadicPiece, bump: BumpFunction):
     """Slice multiplier (1 - s^2 - t^2)_+^alpha bump(2^j (1 - s^2 - t^2))."""
     s_arr = np.asarray(s, dtype=float)
     t_arr = np.asarray(t, dtype=float)
     scalar = s_arr.ndim == 0 and t_arr.ndim == 0
-    u = 1.0 - np.atleast_1d(s_arr) ** 2 - np.atleast_1d(t_arr) ** 2
-    out = np.where(u > 0, np.abs(u) ** piece.alpha, 0.0) * bump((2.0**piece.j) * u)
+    out = piece.multiplier(1.0 - np.atleast_1d(s_arr) ** 2 - np.atleast_1d(t_arr) ** 2, bump)
     return float(out.ravel()[0]) if scalar else out
 
 
@@ -116,8 +99,7 @@ def slice_weight_of_square_sum(piece: DyadicPiece, bump: BumpFunction):
     """The slice multiplier as a function of |xi|^2 + |eta|^2 (vectorized)."""
 
     def weight(s_sq):
-        u = 1.0 - np.asarray(s_sq, dtype=float)
-        return np.where(u > 0, np.abs(u) ** piece.alpha, 0.0) * bump((2.0**piece.j) * u)
+        return piece.multiplier(1.0 - np.asarray(s_sq, dtype=float), bump)
 
     return weight
 

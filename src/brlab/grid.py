@@ -113,10 +113,6 @@ class SampledField:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
-    def with_values(self, values) -> "SampledField":
-        """New field on the same grid."""
-        return SampledField(self.grid, values)
-
     def __add__(self, other: "SampledField") -> "SampledField":
         self._check_compatible(other)
         return SampledField(self.grid, self.values + other.values)
@@ -129,9 +125,6 @@ class SampledField:
         return SampledField(self.grid, self.values * complex(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "SampledField":
-        return SampledField(self.grid, -self.values)
 
     def _check_compatible(self, other: "SampledField") -> None:
         if not isinstance(other, SampledField):

@@ -240,8 +240,7 @@ def kj_kernel(points, piece, n: int, bump):
                 AccuracyWarning,
                 stacklevel=2,
             )
-    j, alpha = int(piece.j), float(piece.alpha)
-    r_lo, r_hi = _slice_edges(j)
+    r_lo, r_hi = _slice_edges(int(piece.j))
     rules, values = {}, {}
     # at large j both edges round to 1: the annulus is empty and K_j is 0
     distinct = dict.fromkeys(pt.rho for pt in points) if r_hi > r_lo else {}
@@ -250,8 +249,7 @@ def kj_kernel(points, piece, n: int, bump):
         if G not in rules:
             t, w = roots_legendre(G)
             r = r_lo + (r_hi - r_lo) * (t + 1.0) / 2.0
-            u = 1.0 - r**2
-            profile = u**alpha * np.asarray(bump((2.0**j) * u)) * r**n
+            profile = piece.multiplier(1.0 - r**2, bump) * r**n
             rules[G] = (r, (r_hi - r_lo) / 2.0 * w * profile)
         r, weighted = rules[G]
         if rho < 1e-9:  # K_j(rho) is K_j(0) there, to a relative (2 pi rho)^2 / 4n < 1e-17

@@ -1,6 +1,10 @@
 """Tests for the dyadic decomposition: bump, slices, coefficients, separable path."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,14 +49,14 @@ class TestBumpFunction:
     def test_partition_at_spec_points(self):
         for s in (0.01, 0.3, 0.77, 1.0):
             total = sum(BUMP((2.0**j) * s) for j in range(-20, 21))
-            assert abs(total - 1.0) < 1e-10
+            assert abs(total - 1.0) < 1e-15
 
     def test_partition_on_dense_grid(self):
         u = np.linspace(2.0**-20, 1.0, 2001)
         total = np.zeros_like(u)
         for j in range(0, 25):
             total += BUMP((2.0**j) * u)
-        assert np.max(np.abs(total - 1.0)) < 1e-10
+        assert np.max(np.abs(total - 1.0)) < 1e-15
 
     def test_zero_outside_support(self):
         assert BUMP(0.4) == 0.0
@@ -61,7 +65,8 @@ class TestBumpFunction:
         assert BUMP(2.0) == 0.0
 
     def test_value_at_one(self):
-        assert 0.0 < BUMP(1.0) <= 1.0
+        # raw(1/2) = raw(2) = 0, so the closed form is raw(1) / raw(1)
+        assert BUMP(1.0) == 1.0
 
     def test_nonnegative_everywhere(self):
         s = np.linspace(0.0, 3.0, 4001)
@@ -81,6 +86,15 @@ class TestBumpFunction:
     def test_is_bump_function_instance(self):
         assert isinstance(BUMP, BumpFunction)
 
+    def test_cli_import_skips_scipy_interpolate(self):
+        paths = [str(Path(decomposition.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        code = "import sys, brlab.cli; print('scipy.interpolate' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
+
 
 class TestDyadicPiece:
     def test_fields(self):
@@ -91,6 +105,12 @@ class TestDyadicPiece:
     def test_validation(self, j, alpha):
         with pytest.raises(ValueError):
             DyadicPiece(j, alpha)
+
+    def test_multiplier(self):
+        piece = DyadicPiece(2, 1.5)
+        u = np.array([-0.1, 0.0, 0.1, 0.2, 0.4, 0.6])
+        want = [0.0, 0.0, 0.1**1.5 * BUMP(0.4), 0.2**1.5 * BUMP(0.8), 0.4**1.5 * BUMP(1.6), 0.0]
+        assert_allclose(piece.multiplier(u, BUMP), want, rtol=1e-15, atol=0)
 
 
 class TestPhiJAlpha:

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from brlab.decomposition import DyadicPiece, make_bump, t_j_apply
-from brlab.grid import ExponentPair, Grid, lp_norm, make_test_field
+from brlab.grid import ExponentPair, Grid, SampledField, lp_norm, make_test_field
 from brlab.norms import (
     DecayFit,
     NormEstimate,
@@ -28,11 +28,11 @@ GRID = Grid(1, 256, 8.0)
 
 
 def product_op(f, g):
-    return f.with_values(f.values * g.values)
+    return SampledField(f.grid, f.values * g.values)
 
 
 def zero_op(f, g):
-    return f.with_values(np.zeros(f.grid.shape))
+    return SampledField(f.grid, np.zeros(f.grid.shape))
 
 
 def tj_family(alpha):
