@@ -96,10 +96,17 @@ class Grid:
 
 @dataclass(frozen=True)
 class SampledField:
-    """Complex samples on a :class:`Grid`; values are immutable once built."""
+    """Complex samples on a :class:`Grid`; values are immutable once built.
+
+    The spectrum slot is filled by :func:`dft_forward` on first use; it
+    takes no part in equality or repr, and every new field starts empty.
+    """
 
     grid: Grid
     values: np.ndarray = field(repr=False)
+    _spectrum: "SampledField | None" = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.complex128)
@@ -216,10 +223,16 @@ def dft_forward(f: SampledField) -> SampledField:
     """Discrete approximation of the continuous Fourier transform.
 
     Returns samples of f-hat on the frequency lattice, in FFT storage
-    order, scaled by the Riemann-sum weight (L/N)^n.
+    order, scaled by the Riemann-sum weight (L/N)^n.  The first call on a
+    field transforms it and keeps the result on the field; later calls
+    return that same spectrum, which is safe because a field's values are
+    a read-only copy.  Each transformed field so holds one spectrum, as
+    large as itself, for as long as it lives.
     """
-    scale = f.grid.cell_volume
-    return SampledField(f.grid, np.fft.fftn(f.values) * scale)
+    if f._spectrum is None:
+        spectrum = SampledField(f.grid, np.fft.fftn(f.values) * f.grid.cell_volume)
+        object.__setattr__(f, "_spectrum", spectrum)
+    return f._spectrum
 
 
 def dft_inverse(F: SampledField) -> SampledField:

@@ -212,6 +212,20 @@ def _slice_edges(j: int) -> tuple[float, float]:
     return r_lo, r_hi
 
 
+#: Legendre rules by node count, shared by the kj_kernel calls of one envelope_fit
+_piece_rules: list[dict] = []
+
+
+def _piece_rule(G: int):
+    """The G-node Legendre rule; one build per node count inside envelope_fit."""
+    if not _piece_rules:
+        return roots_legendre(G)
+    shared = _piece_rules[-1]
+    if G not in shared:
+        shared[G] = roots_legendre(G)
+    return shared[G]
+
+
 def kj_kernel(points, piece, n: int, bump):
     """Kernel of one dyadic piece by the 1-D radial Fourier transform.
 
@@ -247,7 +261,7 @@ def kj_kernel(points, piece, n: int, bump):
     for rho in distinct:
         G = _auto_nodes(PIECE_NODES, (r_hi - r_lo) * rho)
         if G not in rules:
-            t, w = roots_legendre(G)
+            t, w = _piece_rule(G)
             r = r_lo + (r_hi - r_lo) * (t + 1.0) / 2.0
             profile = piece.multiplier(1.0 - r**2, bump) * r**n
             rules[G] = (r, (r_hi - r_lo) / 2.0 * w * profile)
@@ -289,7 +303,8 @@ def envelope_fit(pieces, n: int, M: float, points, bump) -> EnvelopeReport:
     Each piece's kernel is taken at all sample points in one
     :func:`kj_kernel` call (its 1-D radial route: at least 512 Gauss-Legendre
     nodes on the slice annulus, ~1e-13 of max|K_j| for rho <= 50); the
-    constants are bitwise those of per-point calls.
+    constants are bitwise those of per-point calls.  The pieces share one
+    Legendre rule per node count, which lives until the fit returns.
 
     Parameters
     ----------
@@ -315,18 +330,22 @@ def envelope_fit(pieces, n: int, M: float, points, bump) -> EnvelopeReport:
     alpha = alphas.pop()
     levels = tuple(int(p.j) for p in pieces)
     constants = []
-    for piece in pieces:
-        scale = 2.0 ** (-float(piece.j))
-        best = 0.0
-        values = kj_kernel(points, piece, n, bump)
-        for pt, value in zip(points, values):
-            envelope = (
-                scale ** (alpha + 1.0)
-                * (1.0 + scale * pt.norm1) ** (-M)
-                * (1.0 + scale * pt.norm2) ** (-M)
-            )
-            best = max(best, abs(float(value)) / envelope)
-        constants.append(best)
+    _piece_rules.append({})
+    try:
+        for piece in pieces:
+            scale = 2.0 ** (-float(piece.j))
+            best = 0.0
+            values = kj_kernel(points, piece, n, bump)
+            for pt, value in zip(points, values):
+                envelope = (
+                    scale ** (alpha + 1.0)
+                    * (1.0 + scale * pt.norm1) ** (-M)
+                    * (1.0 + scale * pt.norm2) ** (-M)
+                )
+                best = max(best, abs(float(value)) / envelope)
+            constants.append(best)
+    finally:
+        _piece_rules.pop()
     if len(levels) >= 2:
         slope, _, _ = least_squares_slope(
             np.asarray(levels, float), np.log10(constants)

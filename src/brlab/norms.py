@@ -58,6 +58,11 @@ def _smooth_noise(grid: Grid, rng: np.random.Generator, radius: float) -> Sample
     return dft_inverse(SampledField(grid, coeffs))
 
 
+#: most witness catalogs kept alive, keyed by (grid, infinite, seed, radius)
+_CATALOG_SLOTS = 4
+_catalogs: dict = {}
+
+
 def witness_catalog(
     grid: Grid, infinite: bool, seed: int, modulation_radius: float = 1.0
 ) -> list[tuple[str, SampledField]]:
@@ -70,7 +75,26 @@ def witness_catalog(
     modulation sphere.  The infinite-exponent catalog holds unimodular
     fields: constants and random smooth phases, where the sup-norm
     constraint binds.
+
+    The last ``_CATALOG_SLOTS`` (4) catalogs built are kept, so the levels
+    of a decay fit share their witness fields and the spectra that
+    :func:`~brlab.grid.dft_forward` keeps on them; at most 4 catalogs and
+    their spectra stay alive.  Each call returns a fresh list of the same
+    immutable fields.
     """
+    key = (grid, bool(infinite), seed, float(modulation_radius))
+    items = _catalogs.pop(key, None)
+    if items is None:
+        items = tuple(_build_catalog(*key))
+        if len(_catalogs) >= _CATALOG_SLOTS:
+            del _catalogs[next(iter(_catalogs))]
+    _catalogs[key] = items
+    return list(items)
+
+
+def _build_catalog(
+    grid: Grid, infinite: bool, seed: int, modulation_radius: float
+) -> list[tuple[str, SampledField]]:
     items: list[tuple[str, SampledField]] = []
     direction = _unit_direction(grid, modulation_radius)
     if infinite:
@@ -127,11 +151,11 @@ def witness_catalog(
     return items
 
 
-def _ratio(op, f: SampledField, g: SampledField, ep: ExponentPair) -> float:
-    den = lp_norm(f, ep.p1) * lp_norm(g, ep.p2)
+def _ratio(op, f: SampledField, g: SampledField, p, den: float) -> float:
+    """lp_norm(op(f, g), p) / den, the denominator lp_norm(f, p1) lp_norm(g, p2)."""
     if not den > 0:
         return 0.0
-    return lp_norm(op(f, g), ep.p) / den
+    return lp_norm(op(f, g), p) / den
 
 
 def _perturb(
@@ -166,7 +190,8 @@ class NormEstimate:
 
 def recompute_ratio(op, estimate: NormEstimate) -> float:
     """Re-evaluate an estimate's ratio from its stored witnesses."""
-    return _ratio(op, estimate.witness_f, estimate.witness_g, estimate.exponents)
+    ep, f, g = estimate.exponents, estimate.witness_f, estimate.witness_g
+    return _ratio(op, f, g, ep.p, lp_norm(f, ep.p1) * lp_norm(g, ep.p2))
 
 
 def estimate_bilinear_norm(
@@ -178,14 +203,19 @@ def estimate_bilinear_norm(
     its best pair; each further trial climbs from a randomly chosen pair.
     Deterministic given ``seed``; more trials never lower the result (the
     maximum runs over a superset, reduced in index order with strict
-    improvement).
+    improvement).  Each catalog field's norm and each climb candidate's is
+    computed once; every ratio is lp_norm(T(f, g), p) / (lp_norm(f, p1)
+    lp_norm(g, p2)) in that order.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
     ep = _as_pair(exponents)
+    p1, p2, p = ep.p1, ep.p2, ep.p
     inf_f, inf_g = ep.inv1 == 0, ep.inv2 == 0
     cat_f = witness_catalog(grid, inf_f, seed)
     cat_g = witness_catalog(grid, inf_g, seed + 1)
+    norm_f = [lp_norm(f, p1) for _, f in cat_f]
+    norm_g = [lp_norm(g, p2) for _, g in cat_g]
     best_value = 0.0
     best = (cat_f[0][1], cat_g[0][1], cat_f[0][0], cat_g[0][0])
     for t in range(trials):
@@ -194,25 +224,27 @@ def estimate_bilinear_norm(
             pair_best, pair = 0.0, (0, 0)
             for fi, (_, f) in enumerate(cat_f):
                 for gi, (_, g) in enumerate(cat_g):
-                    value = _ratio(op, f, g, ep)
+                    value = _ratio(op, f, g, p, norm_f[fi] * norm_g[gi])
                     if value > pair_best:
                         pair_best, pair = value, (fi, gi)
             fi, gi = pair
         else:
             fi = int(rng.integers(0, len(cat_f)))
             gi = int(rng.integers(0, len(cat_g)))
-        id_f, f = cat_f[fi]
-        id_g, g = cat_g[gi]
-        current = _ratio(op, f, g, ep)
+        (id_f, f), (id_g, g) = cat_f[fi], cat_g[gi]
+        nf, ng = norm_f[fi], norm_g[gi]
+        current = _ratio(op, f, g, p, nf * ng)
         accepted = 0
         for step in range(CLIMB_STEPS):
             if step % 2 == 0:
                 cand_f, cand_g = _perturb(f, inf_f, rng), g
+                cand_nf, cand_ng = lp_norm(cand_f, p1), ng
             else:
                 cand_f, cand_g = f, _perturb(g, inf_g, rng)
-            value = _ratio(op, cand_f, cand_g, ep)
+                cand_nf, cand_ng = nf, lp_norm(cand_g, p2)
+            value = _ratio(op, cand_f, cand_g, p, cand_nf * cand_ng)
             if value > current:
-                current, f, g = value, cand_f, cand_g
+                current, f, g, nf, ng = value, cand_f, cand_g, cand_nf, cand_ng
                 accepted += 1
         suffix = f"+climb{accepted}" if accepted else ""
         if current > best_value:

@@ -185,7 +185,9 @@ def _pair_sum(f: SampledField, g: SampledField, keep, blocks) -> SampledField:
         re = np.bincount(target, np.concatenate([re, pairs.real]))
         im = np.bincount(target, np.concatenate([im, pairs.imag]))
     acc = (re + 1j * im).reshape(grid.shape)
-    return dft_inverse(SampledField(grid, acc)) * (1.0 / grid.L**grid.n)
+    # dft_inverse, then the pair measure 1/L^n, as one field
+    scale = (grid.N / grid.L) ** grid.n
+    return SampledField(grid, np.fft.ifftn(acc) * scale * complex(1.0 / grid.L**grid.n))
 
 
 def bilinear_frequency_apply(

@@ -1,6 +1,7 @@
 """Tests for grids, fields, transforms, norms, and witness generation."""
 
 import csv
+import dataclasses
 import inspect
 import math
 from fractions import Fraction
@@ -79,6 +80,36 @@ class TestSampledField:
         g = random_field(Grid(1, 16, 8.0), seed=1)
         with pytest.raises(ValueError):
             _ = f + g
+
+
+class TestSpectrumMemo:
+    def test_transform_once_and_bitwise_fresh(self):
+        for grid in [Grid(1, 64, 16.0), Grid(2, 16, 4.0)]:
+            f = random_field(grid, seed=8)
+            F = dft_forward(f)
+            assert dft_forward(f) is F
+            fresh = np.fft.fftn(f.values) * grid.cell_volume
+            assert F.values.tobytes() == fresh.tobytes()
+
+    def test_slot_not_in_equality_or_repr(self):
+        grid = Grid(1, 16, 4.0)
+        f = random_field(grid, seed=9)
+        g = SampledField(grid, f.values)
+        before = repr(f)
+        dft_forward(f)
+        assert repr(f) == before == repr(g)
+        assert "spectrum" not in before
+        compared = [slot.name for slot in dataclasses.fields(SampledField) if slot.compare]
+        assert compared == ["grid", "values"]
+
+    def test_new_fields_start_without_spectrum(self):
+        grid = Grid(1, 16, 4.0)
+        f = random_field(grid, seed=10)
+        dft_forward(f)
+        derived = [f + f, f * 2.0, 2.0 * f, modulate(f, [0.5]), SampledField(grid, f.values)]
+        for g in derived:
+            assert g._spectrum is None
+            assert dft_forward(g) is not dft_forward(f)
 
 
 class TestExponentPair:

@@ -340,6 +340,29 @@ class TestEnvelope:
         c4 = envelope_fit(pieces, 1, 4.0, origin, BUMP).constants
         assert_allclose(c2, c4, rtol=1e-14)
 
+    def test_pieces_share_one_legendre_rule(self, monkeypatch):
+        pieces = [DyadicPiece(j, 2.0) for j in range(7)]
+        points = sample_points()
+        builds, inside = [], []
+
+        def counted_rule(nodes):
+            builds.append(nodes)
+            return roots_legendre(nodes)
+
+        def recorded(*args):
+            inside.append(kj_kernel(*args))
+            return inside[-1]
+
+        monkeypatch.setattr(kernel, "roots_legendre", counted_rule)
+        monkeypatch.setattr(kernel, "kj_kernel", recorded)
+        envelope_fit(pieces, 1, 2.0, points, BUMP)
+        assert builds == [kernel.PIECE_NODES]
+        assert kernel._piece_rules == []
+        # outside a fit each call builds its own rule, to the same bits
+        for piece, values in zip(pieces, inside, strict=True):
+            assert kj_kernel(points, piece, 1, BUMP).tobytes() == values.tobytes()
+        assert len(builds) == 1 + len(pieces)
+
     def test_single_piece_accepted(self):
         report = envelope_fit(DyadicPiece(1, 2.0), 1, 2.0, sample_points(), BUMP)
         assert report.levels == (1,)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from brlab import norms, operators
 from brlab.decomposition import DyadicPiece, make_bump, t_j_apply
 from brlab.grid import ExponentPair, Grid, SampledField, lp_norm, make_test_field
 from brlab.norms import (
@@ -152,6 +153,110 @@ class TestDecayFit:
         assert lines[0] == ["j", "estimate", "witness_f", "witness_g"]
         assert len(lines) == 5
         assert float(lines[1][1]) == fit.norms[0]
+
+
+def _fresh_transforms(monkeypatch, exponents):
+    """Defeat every reuse: a new catalog on every call, a new spectrum per
+    transform, and each ratio's norms computed afresh in one expression."""
+    build = norms.witness_catalog
+    ep = ExponentPair(*exponents)
+
+    def fresh_ratio(op, f, g, p, den):
+        den = lp_norm(f, ep.p1) * lp_norm(g, ep.p2)
+        return lp_norm(op(f, g), ep.p) / den if den > 0 else 0.0
+
+    def fresh_catalog(*args, **kwargs):
+        norms._catalogs.clear()
+        return build(*args, **kwargs)
+
+    def fresh_forward(f):
+        return SampledField(f.grid, np.fft.fftn(f.values) * f.grid.cell_volume)
+
+    monkeypatch.setattr(norms, "witness_catalog", fresh_catalog)
+    monkeypatch.setattr(operators, "dft_forward", fresh_forward)
+    monkeypatch.setattr(norms, "_ratio", fresh_ratio)
+
+
+def _assert_same_estimates(a, b):
+    for x, y in zip(a, b, strict=True):
+        assert x.value == y.value
+        assert (x.witness_id_f, x.witness_id_g) == (y.witness_id_f, y.witness_id_g)
+        assert x.witness_f.values.tobytes() == y.witness_f.values.tobytes()
+        assert x.witness_g.values.tobytes() == y.witness_g.values.tobytes()
+
+
+class TestTransformMemos:
+    """Shared catalogs, kept spectra and precomputed norms change no bit of a
+    witness search; at test 08's settings the two ball witnesses tie to
+    ~4e-15 at several levels, so their ids show a numerator formed another way."""
+
+    GRID = Grid(1, 256, 32.0)
+
+    def _fit(self):
+        return decay_fit(tj_family(2.0), ExponentPair(1, 1), self.GRID, range(9), 2, seed=20)
+
+    def test_decay_fit_matches_fresh_transforms(self, monkeypatch):
+        norms._catalogs.clear()
+        cold, warm = self._fit(), self._fit()
+        with monkeypatch.context() as patch:
+            _fresh_transforms(patch, (1, 1))
+            fresh = self._fit()
+        for fit in (cold, warm):
+            assert fit.norms == fresh.norms
+            _assert_same_estimates(fit.estimates, fresh.estimates)
+
+    # at (2, inf) the climb's witnesses have inexact norms, so this case
+    # also sees a denominator computed in another order
+    @pytest.mark.parametrize("exponents", [(1, math.inf), (2, math.inf)])
+    def test_infinite_catalog_estimate_matches_fresh_transforms(self, monkeypatch, exponents):
+        grid = Grid(2, 16, 8.0)  # at L = 4 the finite catalog's unit ball is refused
+        op = tj_family(2.0)(1)
+        norms._catalogs.clear()
+        memo = [estimate_bilinear_norm(op, exponents, grid, 2, seed=6) for _ in range(2)]
+        _fresh_transforms(monkeypatch, exponents)
+        fresh = estimate_bilinear_norm(op, exponents, grid, 2, seed=6)
+        assert memo[0].witness_id_g.startswith(("const", "unimodular"))
+        _assert_same_estimates(memo, [fresh, fresh])
+
+    def test_one_forward_transform_per_field(self, monkeypatch):
+        norms._catalogs.clear()
+        applies, transformed = [0], []
+        fftn = np.fft.fftn
+
+        def counted_fftn(a, *args, **kwargs):
+            transformed.append(a)  # kept alive, so ids stay distinct
+            return fftn(a, *args, **kwargs)
+
+        def family(j):
+            apply = tj_family(2.0)(j)
+
+            def op(f, g):
+                applies[0] += 1
+                return apply(f, g)
+
+            return op
+
+        monkeypatch.setattr(np.fft, "fftn", counted_fftn)
+        decay_fit(family, ExponentPair(1, 1), self.GRID, range(9), 2, seed=20)
+        assert len(transformed) == len({id(a) for a in transformed})
+        assert len(transformed) < applies[0]  # two per apply without the memos
+
+    def test_catalog_memo_is_bounded_and_returns_fresh_lists(self):
+        norms._catalogs.clear()
+        first = witness_catalog(GRID, False, seed=11)
+        ids = [item_id for item_id, _ in first]
+        first.clear()
+        again = witness_catalog(GRID, False, seed=11)
+        assert [item_id for item_id, _ in again] == ids
+        assert again is not witness_catalog(GRID, False, seed=11)
+        assert again[0][1] is witness_catalog(GRID, False, seed=11)[0][1]
+        for seed in range(12, 18):
+            witness_catalog(GRID, False, seed=seed)
+        assert len(norms._catalogs) == norms._CATALOG_SLOTS == 4
+        rebuilt = witness_catalog(GRID, False, seed=11)
+        assert rebuilt[0][1] is not again[0][1]
+        for (_, a), (_, b) in zip(rebuilt, again, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
 
 
 class TestLemma1Scaling:
