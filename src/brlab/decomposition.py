@@ -82,8 +82,18 @@ class DyadicPiece:
             raise ValueError(f"smoothness must satisfy alpha > 0, got {self.alpha}")
 
     def multiplier(self, u, bump: BumpFunction) -> np.ndarray:
-        """Slice multiplier m_j(u) = u_+^alpha bump(2^j u) on an array of u."""
-        return np.where(u > 0, np.abs(u) ** self.alpha, 0.0) * bump((2.0**self.j) * u)
+        """Slice multiplier m_j(u) = u_+^alpha bump(2^j u) on an array of u.
+
+        Computed only where 2^j u lies inside ``bump.support``; elsewhere the
+        product is +0.0 and written as such.  A scalar u gives a float64.
+        """
+        u_arr = np.asarray(u, dtype=float)
+        scaled = (2.0**self.j) * u_arr
+        lo, hi = bump.support
+        inside = (scaled > lo) & (scaled < hi)
+        out = np.zeros(u_arr.shape)
+        out[inside] = u_arr[inside] ** self.alpha * bump(scaled[inside])
+        return out if out.ndim else out[()]
 
 
 def phi_j_alpha(s, t, piece: DyadicPiece, bump: BumpFunction):
@@ -133,21 +143,33 @@ def t_j_apply(
     return bilinear_frequency_apply(f, g, _last_plan[1], 1.0, budget)
 
 
+#: s-rows of the coefficient table transformed per rfft
+_COEFF_ROWS = 32
+
+
 def _coeff_table(piece: DyadicPiece, bump: BumpFunction, s_values, k_max: int) -> np.ndarray:
     """Coefficients gamma_{j,k}(s) for all 0 <= k <= k_max at once.
 
     Uniform-grid quadrature in t with COEFF_GRID nodes; the integrand
     vanishes at t = +-1, so the rfft below IS the trapezoid rule of the
-    defining integral, evaluated for every k simultaneously.
+    defining integral, evaluated for every k simultaneously.  The nodes
+    t_m = -1 + m/2048 are dyadic, so |t_m| = |t_{4096-m}| bit for bit: the
+    integrand is computed on m <= COEFF_GRID/2 and mirrored onto the rest,
+    in blocks of ``_COEFF_ROWS`` s-values with one rfft each.
     """
     if k_max > COEFF_GRID // 2:
         raise ValueError(f"k_max={k_max} exceeds the coefficient grid's range")
-    s_arr = np.atleast_1d(np.asarray(s_values, dtype=float))
-    t = -1.0 + 2.0 * np.arange(COEFF_GRID) / COEFF_GRID
-    integrand = phi_j_alpha(
-        np.abs(s_arr)[:, None], np.abs(t)[None, :], piece, bump
-    )
-    spectrum = np.fft.rfft(integrand, axis=1)[:, : k_max + 1].real
+    s_abs = np.abs(np.atleast_1d(np.asarray(s_values, dtype=float)))
+    half = COEFF_GRID // 2
+    t_abs = np.abs(-1.0 + 2.0 * np.arange(half + 1) / COEFF_GRID)
+    integrand = np.empty((min(_COEFF_ROWS, s_abs.size), COEFF_GRID))
+    spectrum = np.empty((s_abs.size, k_max + 1))
+    for start in range(0, s_abs.size, _COEFF_ROWS):
+        rows = s_abs[start : start + _COEFF_ROWS]
+        block = integrand[: rows.size]
+        block[:, : half + 1] = phi_j_alpha(rows[:, None], t_abs[None, :], piece, bump)
+        block[:, half + 1 :] = block[:, half - 1 : 0 : -1]
+        spectrum[start : start + rows.size] = np.fft.rfft(block, axis=1)[:, : k_max + 1].real
     signs = (-1.0) ** np.arange(k_max + 1)
     return spectrum * signs[None, :] / COEFF_GRID
 

@@ -11,6 +11,7 @@ as N grows with L fixed.  Every CSV file the package writes goes through
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -194,11 +195,6 @@ class ExponentPair:
     @property
     def p(self):
         return _exponent_of(self.inv_p)
-
-    @property
-    def banach(self) -> bool:
-        """True when the target space is a Banach space (p >= 1)."""
-        return self.inv_p <= 1
 
     def __str__(self) -> str:
         def fmt(inv):
@@ -416,16 +412,21 @@ def write_rows(path, header, rows) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([v.item() if isinstance(v, np.generic) else v for v in row])
+        writer.writerows(
+            [v.item() if isinstance(v, np.generic) else v for v in row] for row in rows
+        )
 
 
 def field_to_csv(f: SampledField, path) -> None:
-    """Write one row per sample: index tuple, real part, imaginary part."""
+    """Write one row per sample: index tuple, real part, imaginary part.
+
+    Rows come in C order; the index tuples are plain ints.
+    """
     header = [f"i{a}" for a in range(f.grid.n)] + ["re", "im"]
     real = f.values.real.ravel().tolist()
     imag = f.values.imag.ravel().tolist()
-    rows = ([*idx, re, im] for idx, re, im in zip(np.ndindex(*f.grid.shape), real, imag))
+    indices = itertools.product(range(f.grid.N), repeat=f.grid.n)
+    rows = ([*idx, re, im] for idx, re, im in zip(indices, real, imag))
     write_rows(path, header, rows)
 
 

@@ -49,11 +49,17 @@ def _annulus_packet(grid: Grid, a: float, b: float) -> SampledField:
     return field * (1.0 / lp_norm(field, 2))
 
 
+#: (grid, radius), frequency mask and its count of the last _smooth_noise call
+_last_mask: list = [None, None, 0]
+
+
 def _smooth_noise(grid: Grid, rng: np.random.Generator, radius: float) -> SampledField:
-    """Band-limited complex noise for perturbation proposals."""
-    mask = grid.freq_radii() <= radius
+    """Band-limited complex noise; the mask of the last (grid, radius) is kept."""
+    if _last_mask[0] != (grid, radius):
+        mask = grid.freq_radii() <= radius
+        _last_mask[:] = [(grid, radius), mask, int(np.sum(mask))]
+    _, mask, count = _last_mask
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    count = int(np.sum(mask))
     coeffs[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     return dft_inverse(SampledField(grid, coeffs))
 
@@ -69,12 +75,13 @@ def witness_catalog(
     """Deterministic witness fields for one operand slot.
 
     The finite-exponent catalog holds Gaussians at three widths, ball
-    indicators at three radii (the smallest is sub-cell, a discrete point
-    mass), band-limited random fields on three annuli around the modulation
-    radius, coherent annulus packets, and modulated copies pushed to the
-    modulation sphere.  The infinite-exponent catalog holds unimodular
-    fields: constants and random smooth phases, where the sup-norm
-    constraint binds.
+    indicators at radii 0.4 L/N, 1/2 and 1 (the smallest is sub-cell, a
+    discrete point mass; a radius r >= L/4 is skipped, so L <= 4 drops
+    ``ball_1`` and L <= 2 also ``ball_0.5``), band-limited random fields
+    on three annuli around the modulation radius, coherent annulus
+    packets, and modulated copies pushed to the modulation sphere.  The
+    infinite-exponent catalog holds unimodular fields: constants and
+    random smooth phases, where the sup-norm constraint binds.
 
     The last ``_CATALOG_SLOTS`` (4) catalogs built are kept, so the levels
     of a decay fit share their witness fields and the spectra that
@@ -116,6 +123,8 @@ def _build_catalog(
         )
     radii = (0.4 * grid.spacing, 0.5, 1.0)
     for radius in radii:
+        if radius >= grid.L / 4.0:
+            continue
         items.append(
             (
                 f"ball_{radius:g}",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grid import ExponentPair, _as_pair, _exponent_of, write_rows
+from .grid import ExponentPair, _as_pair, write_rows
 
 #: region and statement labels, in fixed statement order
 REGION_I_A = "I_a"
@@ -50,6 +50,54 @@ class ThresholdForm:
         return f"{self.c_n}*n {sign} {abs(self.c_0)}"
 
 
+def _regions(inv1, inv2, half, one) -> list[tuple]:
+    """Region statements whose hypotheses hold, as (label, c_n, c_0).
+
+    In the order I_a, I_b, II_a, II_b.  Works over any exact ordered
+    numbers with ``half`` and ``one`` (1/2 and 1) on the reciprocals'
+    scale, and gives the coefficients on that scale.
+    """
+    invp = inv1 + inv2
+    zero = one - one
+    held = []
+    if half <= inv1 <= one and inv2 <= half and invp > one:
+        held.append((REGION_I_A, inv1 - half, zero))
+    if half <= inv2 <= one and inv1 <= half and invp > one:
+        held.append((REGION_I_B, inv2 - half, zero))
+    if inv1 >= inv2 >= half:
+        held.append((REGION_II_A, invp - one, half - inv2))
+    if inv2 >= inv1 >= half:
+        held.append((REGION_II_B, invp - one, half - inv1))
+    return held
+
+
+def _label(regions) -> str:
+    return regions[0][0] if regions else BANACH_FALLBACK
+
+
+def _sources(regions, inv1, inv2, half, one, n: int) -> list[tuple]:
+    """Every applicable statement as (label, c_n, c_0), in statement order."""
+    zero = one - one
+    sources = list(regions) if n >= 2 else []
+    if inv1 >= half and inv2 >= half:
+        sources.append((DYADIC_SQUARE, inv1 + inv2 - one, zero))
+    if {inv1, inv2} == {zero, one}:
+        sources.append((ONE_INFINITY, half, zero))
+    sources.append((BASIC, one, -half))
+    return sources
+
+
+def _chosen(sources, n: int) -> int:
+    """Index of the statement of smallest value at n, the earliest on ties."""
+    return min(range(len(sources)), key=lambda i: sources[i][1] * n + sources[i][2])
+
+
+def _dimension(n) -> int:
+    if int(n) != n or n < 1:
+        raise ValueError(f"dimension must be an integer >= 1, got n={n}")
+    return int(n)
+
+
 def classify(exponents) -> str:
     """Region label of an exponent pair, with first-listed-region ties.
 
@@ -59,36 +107,7 @@ def classify(exponents) -> str:
     to the Banach fallback label.
     """
     ep = _as_pair(exponents)
-    inv1, inv2, invp = ep.inv1, ep.inv2, ep.inv_p
-    if _HALF <= inv1 <= _ONE and inv2 <= _HALF and invp > _ONE:
-        return REGION_I_A
-    if _HALF <= inv2 <= _ONE and inv1 <= _HALF and invp > _ONE:
-        return REGION_I_B
-    if inv1 >= inv2 >= _HALF:
-        return REGION_II_A
-    if inv2 >= inv1 >= _HALF:
-        return REGION_II_B
-    return BANACH_FALLBACK
-
-
-def _applicable_sources(ep: ExponentPair, n: int) -> list[tuple[str, ThresholdForm]]:
-    inv1, inv2, invp = ep.inv1, ep.inv2, ep.inv_p
-    sources: list[tuple[str, ThresholdForm]] = []
-    if n >= 2:
-        if _HALF <= inv1 <= _ONE and inv2 <= _HALF and invp > _ONE:
-            sources.append((REGION_I_A, ThresholdForm(inv1 - _HALF, Fraction(0))))
-        if _HALF <= inv2 <= _ONE and inv1 <= _HALF and invp > _ONE:
-            sources.append((REGION_I_B, ThresholdForm(inv2 - _HALF, Fraction(0))))
-        if inv1 >= inv2 >= _HALF:
-            sources.append((REGION_II_A, ThresholdForm(invp - _ONE, _HALF - inv2)))
-        if inv2 >= inv1 >= _HALF:
-            sources.append((REGION_II_B, ThresholdForm(invp - _ONE, _HALF - inv1)))
-    if inv1 >= _HALF and inv2 >= _HALF:
-        sources.append((DYADIC_SQUARE, ThresholdForm(invp - _ONE, Fraction(0))))
-    if {inv1, inv2} == {Fraction(0), _ONE}:
-        sources.append((ONE_INFINITY, ThresholdForm(_HALF, Fraction(0))))
-    sources.append((BASIC, ThresholdForm(_ONE, -_HALF)))
-    return sources
+    return _label(_regions(ep.inv1, ep.inv2, _HALF, _ONE))
 
 
 @dataclass(frozen=True)
@@ -122,21 +141,20 @@ def smoothness_index(exponents, n: int) -> IndexResult:
     list below that; the dyadic-square statement, the (1, inf) statement,
     and the basic n - 1/2 bound apply from n = 1 up.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got n={n}")
+    n = _dimension(n)
     ep = _as_pair(exponents)
-    sources = _applicable_sources(ep, int(n))
-    chosen_source, chosen_form = min(
-        sources, key=lambda item: item[1].value(int(n))
-    )
+    regions = _regions(ep.inv1, ep.inv2, _HALF, _ONE)
+    raw = _sources(regions, ep.inv1, ep.inv2, _HALF, _ONE, n)
+    sources = tuple((label, ThresholdForm(c_n, c_0)) for label, c_n, c_0 in raw)
+    chosen_source, chosen_form = sources[_chosen(raw, n)]
     return IndexResult(
         exponents=ep,
-        n=int(n),
-        region=classify(ep),
-        sources=tuple(sources),
+        n=n,
+        region=_label(regions),
+        sources=sources,
         chosen_source=chosen_source,
         chosen_form=chosen_form,
-        threshold=chosen_form.value(int(n)),
+        threshold=chosen_form.value(n),
     )
 
 
@@ -157,18 +175,26 @@ def region_grid_export(n: int, resolution: int, csv_path, svg_path) -> None:
     the SVG colors resolution^2 cells by the region of their center and
     draws the four boundary segments (the two half lines, the anti-diagonal
     where the target exponent crosses 1, and the main diagonal).
+
+    Both run the hypotheses of :func:`classify` and :func:`smoothness_index`
+    on integer numerators over D = 2 * resolution: node (i, k) is
+    (2i, 2k), a cell center is (2i + 1, 2k + 1), and 1/2 and 1 are
+    resolution and D.  Fractions are built only for the values written to
+    a row, so every row equals ``smoothness_index(...).map_row()``.
     """
     if resolution < 16:
         raise ValueError(f"resolution must be at least 16, got {resolution}")
+    n = _dimension(n)
+    D = 2 * resolution
+    coords = [Fraction(i, resolution) for i in range(resolution + 1)]
     rows = []
     for i in range(resolution + 1):
-        inv1 = Fraction(i, resolution)
         for k in range(resolution + 1):
-            inv2 = Fraction(k, resolution)
-            result = smoothness_index(
-                ExponentPair(_exponent_of(inv1), _exponent_of(inv2)), n
-            )
-            rows.append(result.map_row())
+            regions = _regions(2 * i, 2 * k, resolution, D)
+            sources = _sources(regions, 2 * i, 2 * k, resolution, D, n)
+            _, c_n, c_0 = sources[_chosen(sources, n)]
+            form = ThresholdForm(Fraction(c_n, D), Fraction(c_0, D))
+            rows.append([coords[i], coords[k], _label(regions), (c_n * n + c_0) / D, form])
     write_rows(csv_path, MAP_HEADER, rows)
     with open(svg_path, "w") as handle:
         handle.write(_region_svg(n, resolution))
@@ -191,13 +217,10 @@ def _region_svg(n: int, resolution: int) -> str:
         "<!-- region map -->",
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="#ffffff"/>',
     ]
+    D = 2 * resolution
     for i in range(resolution):
-        center1 = Fraction(2 * i + 1, 2 * resolution)
         for k in range(resolution):
-            center2 = Fraction(2 * k + 1, 2 * resolution)
-            label = classify(
-                ExponentPair(_exponent_of(center1), _exponent_of(center2))
-            )
+            label = _label(_regions(2 * i + 1, 2 * k + 1, resolution, D))
             parts.append(
                 f'<rect x="{x_at(i / resolution):.2f}"'
                 f' y="{y_at((k + 1) / resolution):.2f}"'

@@ -423,6 +423,17 @@ class TestNorms:
             back = field_from_csv(os.path.join(run_dir, name), 8.0)
             assert np.array_equal(back.values, witness.values)
 
+    def test_corollary_on_a_box_of_side_four(self, tmp_path, capsys):
+        # L/4 = 1: the finite catalog drops its unit ball instead of refusing
+        rc, run_dir = run_cli(
+            ["norms", "--experiment", "corollary", "--alpha", "2", "--n", "2",
+             "--N", "16", "--L", "4", "--seed", "1"],
+            tmp_path,
+        )
+        assert rc == 0, capsys.readouterr().err
+        with open(os.path.join(run_dir, "estimate.json")) as handle:
+            assert json.load(handle)["value"] > 0
+
     def test_unknown_experiment(self, tmp_path, capsys):
         rc, _ = run_cli(
             ["norms", "--experiment", "warp", "--seed", "1"], tmp_path

@@ -377,6 +377,71 @@ class TestGammaTable:
             GammaTable.build(DyadicPiece(0, 1.0), BUMP, COEFF_GRID // 2 + 1)
 
 
+def reference_multiplier(piece, u, bump=BUMP):
+    """The slice multiplier as one product over the whole array of u."""
+    return np.where(u > 0, np.abs(u) ** piece.alpha, 0.0) * bump(2**piece.j * u)
+
+
+def reference_table(piece, s_values, k_max, bump=BUMP):
+    """The coefficient table from one rfft of the full (s, t) integrand."""
+    s_arr = np.atleast_1d(np.asarray(s_values, dtype=float))
+    t = -1.0 + 2.0 * np.arange(COEFF_GRID) / COEFF_GRID
+    u = 1.0 - np.abs(s_arr)[:, None] ** 2 - np.abs(t)[None, :] ** 2
+    spectrum = np.fft.rfft(reference_multiplier(piece, u, bump), axis=1)[:, : k_max + 1].real
+    signs = (-1.0) ** np.arange(k_max + 1)
+    return spectrum * signs[None, :] / COEFF_GRID
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestBitwiseAgainstFullGrid:
+    """The support-only multiplier and the mirrored, row-blocked table keep every bit."""
+
+    LEVELS = (0, 1, 4, 8, 12)
+    ALPHAS = (0.5, 2.0, 3.0)
+
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 257])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_table_matches_one_full_rfft(self, alpha, rows):
+        s_values = np.linspace(0.0, 1.0, rows) if rows > 1 else np.array([0.6])
+        for j in self.LEVELS:
+            piece = DyadicPiece(j, alpha)
+            table = GammaTable.build(piece, BUMP, 64, s_values)
+            want = reference_table(piece, s_values, 64)
+            assert np.array_equal(bits(table.values), bits(want)), (j, rows)
+
+    def test_default_table_matches_one_full_rfft(self):
+        piece = DyadicPiece(4, 2.0)
+        table = GammaTable.build(piece, BUMP, COEFF_GRID // 2)
+        want = reference_table(piece, np.linspace(0.0, 1.0, 257), COEFF_GRID // 2)
+        assert np.array_equal(bits(table.values), bits(want))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_multiplier_matches_full_product(self, alpha):
+        for j in self.LEVELS:
+            piece = DyadicPiece(j, alpha)
+            lo, hi = 2.0 ** (-j - 1), 2.0 ** (1 - j)
+            u = np.array([-2.0, -0.5, -1e-9, 0.0, lo, np.nextafter(lo, 1.0),
+                          0.75 * hi, np.nextafter(hi, 0.0), hi, 0.5, 1.0, 1.5, 3.0])
+            got = piece.multiplier(u, BUMP)
+            want = reference_multiplier(piece, u)
+            assert np.array_equal(bits(got), bits(want)), j
+            grid_u = np.linspace(-0.5, 1.25, 2001).reshape(23, 87)
+            got = piece.multiplier(grid_u, BUMP)
+            assert got.shape == grid_u.shape
+            assert np.array_equal(bits(got), bits(reference_multiplier(piece, grid_u)))
+
+    @pytest.mark.parametrize("u", [-0.3, 0.0, 0.25, 0.3, 1.0, 2.0])
+    def test_scalar_multiplier_keeps_type_and_value(self, u):
+        piece = DyadicPiece(1, 2.0)
+        got = piece.multiplier(u, BUMP)
+        want = reference_multiplier(piece, u)
+        assert type(got) is type(want) is np.float64
+        assert bits(got) == bits(want)
+
+
 class TestGammaDecay:
     def test_report_bounded_and_unflagged(self):
         report = gamma_decay_check(2.0, 0.5, range(9), range(-64, 65), BUMP)

@@ -130,10 +130,6 @@ class TestExponentPair:
         assert pair.inv1 == Fraction(1, 2)
         assert pair.inv2 == Fraction(0)
 
-    def test_banach_flag(self):
-        assert ExponentPair(2, 2).banach
-        assert not ExponentPair(1, 2).banach
-
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             ExponentPair(Fraction(1, 2), 2)

@@ -75,6 +75,26 @@ class TestWitnessCatalog:
         wide = dict(witness_catalog(GRID, False, seed=0, modulation_radius=8.0))
         assert any("7.2" in item_id for item_id in wide)
 
+    FULL_IDS = [
+        "gaussian_0.5", "gaussian_1", "gaussian_2", "ball_0.0125", "ball_0.5", "ball_1",
+        "band_0_0.5", "band_0.5_1", "band_0.9_1.1", "packet_0.9_1.1", "packet_0.5_1",
+        "gaussian_1_modulated", "ball_0.0125_modulated",
+    ]
+
+    @pytest.mark.parametrize(
+        "grid,dropped",
+        [
+            (Grid(1, 256, 8.0), []),
+            (Grid(1, 256, 4.0), ["ball_1"]),
+            (Grid(1, 128, 2.0), ["ball_0.5", "ball_1"]),
+        ],
+    )
+    def test_balls_of_radius_at_least_quarter_box_are_skipped(self, grid, dropped):
+        ids = [item_id for item_id, _ in witness_catalog(grid, False, seed=0)]
+        small = f"ball_{0.4 * grid.spacing:g}"
+        want = [i.replace("ball_0.0125", small) for i in self.FULL_IDS if i not in dropped]
+        assert ids == want
+
 
 class TestEstimateBilinearNorm:
     def test_zero_operator(self):
@@ -157,8 +177,9 @@ class TestDecayFit:
 
 def _fresh_transforms(monkeypatch, exponents):
     """Defeat every reuse: a new catalog on every call, a new spectrum per
-    transform, and each ratio's norms computed afresh in one expression."""
-    build = norms.witness_catalog
+    transform, a new noise mask per draw, and each ratio's norms computed
+    afresh in one expression."""
+    build, noise = norms.witness_catalog, norms._smooth_noise
     ep = ExponentPair(*exponents)
 
     def fresh_ratio(op, f, g, p, den):
@@ -169,12 +190,17 @@ def _fresh_transforms(monkeypatch, exponents):
         norms._catalogs.clear()
         return build(*args, **kwargs)
 
+    def fresh_noise(grid, rng, radius):
+        norms._last_mask[:] = [None, None, 0]
+        return noise(grid, rng, radius)
+
     def fresh_forward(f):
         return SampledField(f.grid, np.fft.fftn(f.values) * f.grid.cell_volume)
 
     monkeypatch.setattr(norms, "witness_catalog", fresh_catalog)
     monkeypatch.setattr(operators, "dft_forward", fresh_forward)
     monkeypatch.setattr(norms, "_ratio", fresh_ratio)
+    monkeypatch.setattr(norms, "_smooth_noise", fresh_noise)
 
 
 def _assert_same_estimates(a, b):
@@ -209,7 +235,7 @@ class TestTransformMemos:
     # also sees a denominator computed in another order
     @pytest.mark.parametrize("exponents", [(1, math.inf), (2, math.inf)])
     def test_infinite_catalog_estimate_matches_fresh_transforms(self, monkeypatch, exponents):
-        grid = Grid(2, 16, 8.0)  # at L = 4 the finite catalog's unit ball is refused
+        grid = Grid(2, 16, 8.0)
         op = tj_family(2.0)(1)
         norms._catalogs.clear()
         memo = [estimate_bilinear_norm(op, exponents, grid, 2, seed=6) for _ in range(2)]
@@ -240,6 +266,32 @@ class TestTransformMemos:
         decay_fit(family, ExponentPair(1, 1), self.GRID, range(9), 2, seed=20)
         assert len(transformed) == len({id(a) for a in transformed})
         assert len(transformed) < applies[0]  # two per apply without the memos
+
+    def test_noise_mask_is_kept_per_grid_and_radius(self, monkeypatch):
+        grid, other = Grid(1, 64, 8.0), Grid(1, 64, 16.0)
+        calls = [(grid, 1.5), (grid, 1.5), (grid, 1.0), (other, 1.0), (grid, 1.5)]
+        norms._last_mask[:] = [None, None, 0]
+        rng = np.random.default_rng(4)
+        kept = [norms._smooth_noise(g, rng, r).values.tobytes() for g, r in calls]
+        radii_calls = []
+        freq_radii = Grid.freq_radii
+
+        def counted(self):
+            radii_calls.append(self)
+            return freq_radii(self)
+
+        monkeypatch.setattr(Grid, "freq_radii", counted)
+        rng = np.random.default_rng(4)
+        fresh = []
+        for g, r in calls:
+            norms._last_mask[:] = [None, None, 0]
+            fresh.append(norms._smooth_noise(g, rng, r).values.tobytes())
+        assert kept == fresh
+        radii_calls.clear()
+        norms._last_mask[:] = [None, None, 0]
+        rng = np.random.default_rng(4)
+        assert [norms._smooth_noise(g, rng, r).values.tobytes() for g, r in calls] == kept
+        assert radii_calls == [grid, grid, other, grid]
 
     def test_catalog_memo_is_bounded_and_returns_fresh_lists(self):
         norms._catalogs.clear()

@@ -1,16 +1,19 @@
 """Tests for exact region classification and smoothness thresholds."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from brlab.grid import ExponentPair
+from brlab.grid import ExponentPair, write_rows
 from brlab.regions import (
+    _REGION_COLORS,
     BANACH_FALLBACK,
     BASIC,
     DYADIC_SQUARE,
+    MAP_HEADER,
     ONE_INFINITY,
     REGION_I_A,
     REGION_I_B,
@@ -244,3 +247,45 @@ class TestGridExport:
                 inv = Fraction(inv1)
                 want = 2 * 3 * inv - 3 - inv + HALF
                 assert float(threshold) == float(want)
+
+
+class TestIntegerMapMatchesFractionApi:
+    """The export's integer numerators give the rows and colors of the Fraction API."""
+
+    @pytest.mark.parametrize("resolution", [16, 17, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_and_cells(self, tmp_path, n, resolution):
+        csv_path, svg_path = tmp_path / "map.csv", tmp_path / "map.svg"
+        region_grid_export(n, resolution, csv_path, svg_path)
+        want_rows = [
+            smoothness_index(
+                pair_from_inverses(Fraction(i, resolution), Fraction(k, resolution)), n
+            ).map_row()
+            for i in range(resolution + 1)
+            for k in range(resolution + 1)
+        ]
+        want_path = tmp_path / "want.csv"
+        write_rows(want_path, MAP_HEADER, want_rows)
+        assert csv_path.read_text() == want_path.read_text()
+
+        cell = f"{660.0 / resolution:.2f}"
+        fills = re.findall(
+            rf'<rect x="[^"]+" y="[^"]+" width="{cell}" height="{cell}" fill="([^"]+)"/>',
+            svg_path.read_text(),
+        )
+        want_fills = [
+            _REGION_COLORS[
+                classify(
+                    pair_from_inverses(
+                        Fraction(2 * i + 1, 2 * resolution), Fraction(2 * k + 1, 2 * resolution)
+                    )
+                )
+            ]
+            for i in range(resolution)
+            for k in range(resolution)
+        ]
+        assert fills == want_fills
+
+    def test_export_validates_dimension(self, tmp_path):
+        with pytest.raises(ValueError, match="dimension"):
+            region_grid_export(0, 16, tmp_path / "x.csv", tmp_path / "x.svg")
