@@ -7,6 +7,10 @@ large-argument expansion evaluated by Horner's rule beyond), while
 Gauss-Jacobi quadrature.  Their agreement is the correctness anchor for every
 kernel and restriction computation built on top of them.  ``bessel_j`` refuses
 orders above ``MAX_VALIDATED_ORDER``, where its dispatch goes wrong.
+
+``scipy.special`` is loaded at the first ``gammaln`` or Gauss-rule call
+(see :class:`_SpecialFunction`), never at import: importing it costs ~0.3 s,
+and most experiments never evaluate either.
 """
 
 from __future__ import annotations
@@ -15,7 +19,30 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
+
+
+class _SpecialFunction:
+    """``scipy.special.<name>``, imported at its first call.
+
+    The proxy is a module attribute that callers reach through their module
+    globals, so it can be replaced or wrapped like the function it stands for.
+    """
+
+    __slots__ = ("name", "fn")
+
+    def __init__(self, name: str):
+        self.name, self.fn = name, None
+
+    def __call__(self, *args, **kwargs):
+        if self.fn is None:
+            import scipy.special
+
+            self.fn = getattr(scipy.special, self.name)
+        return self.fn(*args, **kwargs)
+
+
+gammaln = _SpecialFunction("gammaln")
+roots_jacobi = _SpecialFunction("roots_jacobi")
 
 
 class AccuracyWarning(UserWarning):
@@ -163,12 +190,11 @@ _ORACLE_RULES: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _oracle_rule(k: float) -> tuple[np.ndarray, np.ndarray]:
-    key = round(k, 12)
-    if key not in _ORACLE_RULES:
+    # keyed by k itself, so every order gets the rule built from it
+    if k not in _ORACLE_RULES:
         # Gauss-Jacobi rule absorbing the (1-t^2)^(k-1/2) weight exactly
-        nodes, weights = roots_jacobi(ORACLE_NODES, k - 0.5, k - 0.5)
-        _ORACLE_RULES[key] = (nodes, weights)
-    return _ORACLE_RULES[key]
+        _ORACLE_RULES[k] = roots_jacobi(ORACLE_NODES, k - 0.5, k - 0.5)
+    return _ORACLE_RULES[k]
 
 
 def bessel_j_oracle(k: float, r):

@@ -8,6 +8,10 @@ and the 1-D radial transform on R^{2n} for the dyadic piece kernels, whose
 polar-quadrature check lives with the tests.  Their agreement, the dilation
 identity, the asymptotic decay rate, and the dyadic piece-kernel envelope
 are the checks this module exposes.
+
+``gammaln``, ``roots_jacobi`` and ``roots_legendre`` are the deferred
+``scipy.special`` functions of :mod:`brlab.bessel`: scipy is loaded by the
+first Gauss rule or log-gamma call in either module, not by importing them.
 """
 
 from __future__ import annotations
@@ -17,10 +21,20 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi, roots_legendre
 
 from ._fit import least_squares_slope
-from .bessel import MAX_VALIDATED_ORDER, AccuracyWarning, _point_radius, bessel_j, sphere_ft
+from .bessel import (
+    MAX_VALIDATED_ORDER,
+    AccuracyWarning,
+    _point_radius,
+    _SpecialFunction,
+    bessel_j,
+    gammaln,
+    roots_jacobi,
+    sphere_ft,
+)
+
+roots_legendre = _SpecialFunction("roots_legendre")
 
 #: rho beyond which the quadrature routes warn about node resolution
 OSCILLATION_BUDGET = 50.0

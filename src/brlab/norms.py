@@ -79,7 +79,9 @@ def witness_catalog(
     discrete point mass; a radius r >= L/4 is skipped, so L <= 4 drops
     ``ball_1`` and L <= 2 also ``ball_0.5``), band-limited random fields
     on three annuli around the modulation radius, coherent annulus
-    packets, and modulated copies pushed to the modulation sphere.  The
+    packets, and the width-1 Gaussian pushed to the modulation sphere (a
+    modulated point mass would be the point mass times a constant phase,
+    tying it for every operator, so there is none).  The
     infinite-exponent catalog holds unimodular fields: constants and
     random smooth phases, where the sup-norm constraint binds.
 
@@ -147,14 +149,6 @@ def _build_catalog(
         (
             "gaussian_1_modulated",
             modulate(make_test_field("gaussian", {"width": 1.0}, grid), direction),
-        )
-    )
-    items.append(
-        (
-            f"ball_{radii[0]:g}_modulated",
-            modulate(
-                make_test_field("ball_indicator", {"radius": radii[0]}, grid), direction
-            ),
         )
     )
     return items

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import jv
 
+from brlab import bessel
 from brlab.bessel import (
     MAX_VALIDATED_ORDER,
     AccuracyWarning,
@@ -173,6 +174,15 @@ class TestBesselOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bessel_j_oracle(0, 199.0)
+
+    def test_independent_of_call_history(self, monkeypatch):
+        # a nearby order asked for first must not lend its rule to a later one
+        r = np.linspace(0.5, 150.0, 61)
+        monkeypatch.setattr(bessel, "_ORACLE_RULES", {})
+        fresh = bessel_j_oracle(2.0, r)
+        monkeypatch.setattr(bessel, "_ORACLE_RULES", {})
+        bessel_j_oracle(2.0 + 4e-13, r)
+        assert bessel_j_oracle(2.0, r).tobytes() == fresh.tobytes()
 
 
 class TestSphereFt:

@@ -1,0 +1,105 @@
+"""brlab loads scipy.special at its first Gauss rule or log-gamma call.
+
+Importing ``scipy.special`` costs ~0.3 s, so ``brlab`` and ``brlab.cli``
+import without it, and the experiments that build no Gauss rule and take
+no log-gamma never load it.  The deferred functions stay module attributes
+that callers reach through their module globals, so replacing one still
+intercepts every call.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy.special
+
+from brlab import bessel, kernel
+from brlab.decomposition import DyadicPiece, make_bump
+from brlab.kernel import KernelPoint, envelope_fit, kernel_quadrature
+
+#: small-grid variants of the default experiments that need no scipy.special
+SCIPY_FREE_RUNS = [
+    ["regions", "--p1", "1", "--p2", "2"],
+    ["regions", "--resolution", "16"],
+    ["evaluate", "--N", "32", "--L", "8", "--alpha", "2"],
+    ["decay", "--mode", "tj", "--N", "32", "--L", "8", "--alpha", "2", "--j-range", "0:3",
+     "--trials", "1"],
+    ["decay", "--mode", "gamma", "--alpha", "2", "--j-range", "0:2", "--k-max", "8"],
+    ["norms", "--experiment", "lemma1", "--p", "1", "--N", "64", "--b", "2",
+     "--widths", "1/2,1,2"],
+    ["norms", "--experiment", "corollary", "--alpha", "3/2", "--N", "32", "--trials", "1"],
+]
+
+SCRIPT = """
+import sys
+
+def check(step):
+    assert "scipy.special" not in sys.modules, f"scipy.special loaded by {step}"
+
+import brlab
+check("import brlab")
+from brlab import cli
+check("import brlab.cli")
+for i, argv in enumerate(RUNS):
+    assert cli.main(argv + ["--seed", "1", "--outdir", f"{OUT}/{i}"]) == 0, argv
+    check(" ".join(argv))
+from brlab.kernel import KernelPoint, kernel_quadrature
+kernel_quadrature(KernelPoint(0.5, 0.25), 2.0, 1)
+assert "scipy.special" in sys.modules, "kernel_quadrature ran without scipy.special"
+print("ok")
+"""
+
+
+def test_brlab_starts_without_scipy(tmp_path):
+    src = str(Path(bessel.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"RUNS = {SCIPY_FREE_RUNS!r}\nOUT = {str(tmp_path)!r}\n" + SCRIPT
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "ok"
+
+
+def test_rule_hooks_intercept_every_build(monkeypatch):
+    builds = []
+
+    def counted(module, name):
+        rule = getattr(module, name)
+
+        def build(*args):
+            builds.append((module.__name__, name, args[0]))
+            return rule(*args)
+
+        monkeypatch.setattr(module, name, build)
+
+    counted(kernel, "roots_jacobi")
+    counted(kernel, "roots_legendre")
+    counted(bessel, "roots_jacobi")
+    kernel_quadrature(KernelPoint(0.5, 0.25), 2.0, 1)
+    assert builds == [("brlab.kernel", "roots_jacobi", 128), ("brlab.kernel", "roots_legendre", 128)]
+    builds.clear()
+    pieces = [DyadicPiece(j, 2.0) for j in range(3)]
+    points = [KernelPoint(a, b) for a in (0.0, 1.5) for b in (0.0, 3.0)]
+    envelope_fit(pieces, 1, 2.0, points, make_bump())
+    assert builds == [("brlab.kernel", "roots_legendre", kernel.PIECE_NODES)]
+    builds.clear()
+    monkeypatch.setattr(bessel, "_ORACLE_RULES", {})
+    bessel.bessel_j_oracle(1.25, 3.0)
+    assert builds == [("brlab.bessel", "roots_jacobi", bessel.ORACLE_NODES)]
+
+
+def test_deferred_functions_match_scipy_bitwise():
+    assert kernel.gammaln is bessel.gammaln
+    assert kernel.roots_jacobi is bessel.roots_jacobi
+    x = np.array([0.5, 1.5, 2.5, 3.0, 7.25, 29.5])
+    assert bessel.gammaln(x).tobytes() == scipy.special.gammaln(x).tobytes()
+    assert bessel.gammaln(2.5) == scipy.special.gammaln(2.5)
+    for got, want in [
+        (bessel.roots_jacobi(256, 1.5, 1.5), scipy.special.roots_jacobi(256, 1.5, 1.5)),
+        (kernel.roots_jacobi(128, 2.0, 0.0), scipy.special.roots_jacobi(128, 2.0, 0.0)),
+        (kernel.roots_legendre(512), scipy.special.roots_legendre(512)),
+    ]:
+        assert len(got) == len(want) == 2
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()

@@ -78,7 +78,7 @@ class TestWitnessCatalog:
     FULL_IDS = [
         "gaussian_0.5", "gaussian_1", "gaussian_2", "ball_0.0125", "ball_0.5", "ball_1",
         "band_0_0.5", "band_0.5_1", "band_0.9_1.1", "packet_0.9_1.1", "packet_0.5_1",
-        "gaussian_1_modulated", "ball_0.0125_modulated",
+        "gaussian_1_modulated",
     ]
 
     @pytest.mark.parametrize(
