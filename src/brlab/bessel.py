@@ -10,7 +10,9 @@ orders above ``MAX_VALIDATED_ORDER``, where its dispatch goes wrong.
 
 ``scipy.special`` is loaded at the first ``gammaln`` or Gauss-rule call
 (see :class:`_SpecialFunction`), never at import: importing it costs ~0.3 s,
-and most experiments never evaluate either.
+and most experiments never evaluate either.  ``roots_jacobi`` here and
+``roots_legendre`` in :mod:`brlab.kernel` are the one Gauss-rule provider
+(:class:`_GaussRules`), which builds each rule once per process.
 """
 
 from __future__ import annotations
@@ -41,8 +43,40 @@ class _SpecialFunction:
         return self.fn(*args, **kwargs)
 
 
+#: bytes of node and weight arrays the Gauss-rule memo keeps (2^18 nodes)
+RULE_BUDGET_BYTES = 4 << 20
+#: Gauss rules by (provider name, *arguments), least recently used first
+_RULES: dict = {}
+
+
+class _GaussRules(_SpecialFunction):
+    """A deferred ``scipy.special.roots_<kind>`` that builds each rule once.
+
+    A rule is kept under the provider's name and its exact positional
+    arguments, so every request gets the rule built from its own arguments,
+    whatever was asked before.  All providers share one memo of at most
+    ``RULE_BUDGET_BYTES`` of arrays, dropping the least recently used rules
+    past it; the arrays are returned read-only.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, *args):
+        key = (self.name, *args)
+        rule = _RULES.pop(key, None)
+        if rule is None:
+            rule = super().__call__(*args)
+            for array in rule:
+                array.flags.writeable = False
+            kept = sum(a.nbytes for r in (rule, *_RULES.values()) for a in r)
+            while _RULES and kept > RULE_BUDGET_BYTES:
+                kept -= sum(a.nbytes for a in _RULES.pop(next(iter(_RULES))))
+        _RULES[key] = rule
+        return rule
+
+
 gammaln = _SpecialFunction("gammaln")
-roots_jacobi = _SpecialFunction("roots_jacobi")
+roots_jacobi = _GaussRules("roots_jacobi")
 
 
 class AccuracyWarning(UserWarning):
@@ -186,17 +220,6 @@ def bessel_j(k: float, r):
     return float(out[0]) if scalar else out
 
 
-_ORACLE_RULES: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _oracle_rule(k: float) -> tuple[np.ndarray, np.ndarray]:
-    # keyed by k itself, so every order gets the rule built from it
-    if k not in _ORACLE_RULES:
-        # Gauss-Jacobi rule absorbing the (1-t^2)^(k-1/2) weight exactly
-        _ORACLE_RULES[k] = roots_jacobi(ORACLE_NODES, k - 0.5, k - 0.5)
-    return _ORACLE_RULES[k]
-
-
 def bessel_j_oracle(k: float, r):
     """Reference J_k(r) via quadrature of the Poisson integral form.
 
@@ -216,7 +239,8 @@ def bessel_j_oracle(k: float, r):
             AccuracyWarning,
             stacklevel=2,
         )
-    nodes, weights = _oracle_rule(k)
+    # Gauss-Jacobi rule absorbing the (1-t^2)^(k-1/2) weight exactly
+    nodes, weights = roots_jacobi(ORACLE_NODES, k - 0.5, k - 0.5)
     integral = np.cos(np.outer(r, nodes)) @ weights
     with np.errstate(divide="ignore"):
         prefactor = (r / 2.0) ** k / (math.exp(gammaln(k + 0.5)) * math.sqrt(math.pi))

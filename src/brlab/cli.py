@@ -118,22 +118,26 @@ def _rational(text: str, key: str) -> str:
 
 
 def _number(text, key: str) -> float:
-    """Non-exponent numeric argument: rational string or decimal."""
+    """Non-exponent numeric argument: rational string or finite decimal."""
     if text is None:
         raise CliError(key, f"{key} is required")
     if isinstance(text, (int, float)):
-        return float(text)
-    try:
-        return float(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError):
+        value = float(text)
+    else:
         try:
-            return float(text)
-        except ValueError:
-            raise CliError(key, f"{key} must be numeric, got {text!r}") from None
+            value = float(Fraction(text.strip()))
+        except (ValueError, ZeroDivisionError):
+            try:
+                value = float(text)
+            except ValueError:
+                raise CliError(key, f"{key} must be numeric, got {text!r}") from None
+    if not math.isfinite(value):
+        raise CliError(key, f"{key} must be finite, got {text!r}")
+    return value
 
 
 def _int_range(text: str, key: str) -> list[int]:
-    """Inclusive integer range written as 'lo:hi'."""
+    """Inclusive range of levels written as 'lo:hi', with 0 <= lo <= hi."""
     if text is None:
         raise CliError(key, f"{key} is required")
     parts = text.split(":")
@@ -144,8 +148,8 @@ def _int_range(text: str, key: str) -> list[int]:
             raise ValueError
     except ValueError:
         raise CliError(key, f"{key} must look like 'lo:hi', got {text!r}") from None
-    if hi < lo:
-        raise CliError(key, f"{key} must satisfy lo <= hi, got {text!r}")
+    if not 0 <= lo <= hi:
+        raise CliError(key, f"{key} must satisfy 0 <= lo <= hi, got {text!r}")
     return list(range(lo, hi + 1))
 
 
@@ -391,6 +395,8 @@ def _cmd_kernel(args, run_dir: str) -> dict:
         if rho_max <= 0:
             raise CliError("rho_max", f"sweep range is empty, got rho_max={rho_max}")
         rhos = [rho_max * (i + 1) / points for i in range(points)]
+        if not math.isfinite(_kernel_points(rhos[-1:], n)[0].rho):
+            raise CliError("rho_max", f"rho_max={rho_max:g} overflows the sample radii")
         config.update({"points": points, "rho_max": rho_max})
         check_closed_form(alpha, n)
     if args.check == "sweep":
@@ -406,6 +412,10 @@ def _cmd_kernel(args, run_dir: str) -> dict:
         if args.R is None:
             raise CliError("R", "R is required for the dilation check")
         R = _number(args.R, "R")
+        if not R > 0:
+            raise CliError("R", f"R must be positive, got {R:g}")
+        if not 2 * n * math.log(R * max(rhos[-1], 1.0)) < math.log(sys.float_info.max):
+            raise CliError("R", f"R={R:g} overflows the dilated kernel")
         rows = [[pt.rho, dilation_check(pt, alpha, n, R)] for pt in _kernel_points(rhos, n)]
         write_rows(os.path.join(run_dir, "dilation.csv"), ["rho", "residual"], rows)
         print(f"dilation check R={R:g}: max residual {max(row[1] for row in rows):.6e}")
@@ -422,7 +432,16 @@ def _cmd_kernel(args, run_dir: str) -> dict:
         for b in radii
     ]
     pieces = [DyadicPiece(j, alpha) for j in j_range]
-    report = envelope_fit(pieces, n, M, points, make_bump())
+    top = pieces[-1].j
+    if not (2.0 ** -float(top)) ** (alpha + 1.0) > 0:
+        raise CliError(
+            "j_range",
+            f"level j={top} underflows the envelope scale 2^(-j (alpha + 1)) at alpha={alpha:g}",
+        )
+    try:
+        report = envelope_fit(pieces, n, M, points, make_bump())
+    except ValueError as err:  # every scale is positive, so a smaller M lifts the envelope
+        raise CliError("M", str(err)) from None
     rows = zip(report.levels, report.constants)
     write_rows(os.path.join(run_dir, "envelope.csv"), ["j", "constant"], rows)
     print(

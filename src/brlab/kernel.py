@@ -11,7 +11,8 @@ are the checks this module exposes.
 
 ``gammaln``, ``roots_jacobi`` and ``roots_legendre`` are the deferred
 ``scipy.special`` functions of :mod:`brlab.bessel`: scipy is loaded by the
-first Gauss rule or log-gamma call in either module, not by importing them.
+first Gauss rule or log-gamma call in either module, not by importing them,
+and the two rule functions build each rule once per process.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ from ._fit import least_squares_slope
 from .bessel import (
     MAX_VALIDATED_ORDER,
     AccuracyWarning,
+    _GaussRules,
     _point_radius,
-    _SpecialFunction,
     bessel_j,
     gammaln,
     roots_jacobi,
     sphere_ft,
 )
 
-roots_legendre = _SpecialFunction("roots_legendre")
+roots_legendre = _GaussRules("roots_legendre")
 
 #: rho beyond which the quadrature routes warn about node resolution
 OSCILLATION_BUDGET = 50.0
@@ -226,20 +227,6 @@ def _slice_edges(j: int) -> tuple[float, float]:
     return r_lo, r_hi
 
 
-#: Legendre rules by node count, shared by the kj_kernel calls of one envelope_fit
-_piece_rules: list[dict] = []
-
-
-def _piece_rule(G: int):
-    """The G-node Legendre rule; one build per node count inside envelope_fit."""
-    if not _piece_rules:
-        return roots_legendre(G)
-    shared = _piece_rules[-1]
-    if G not in shared:
-        shared[G] = roots_legendre(G)
-    return shared[G]
-
-
 def kj_kernel(points, piece, n: int, bump):
     """Kernel of one dyadic piece by the 1-D radial Fourier transform.
 
@@ -275,7 +262,7 @@ def kj_kernel(points, piece, n: int, bump):
     for rho in distinct:
         G = _auto_nodes(PIECE_NODES, (r_hi - r_lo) * rho)
         if G not in rules:
-            t, w = _piece_rule(G)
+            t, w = roots_legendre(G)
             r = r_lo + (r_hi - r_lo) * (t + 1.0) / 2.0
             profile = piece.multiplier(1.0 - r**2, bump) * r**n
             rules[G] = (r, (r_hi - r_lo) / 2.0 * w * profile)
@@ -317,8 +304,9 @@ def envelope_fit(pieces, n: int, M: float, points, bump) -> EnvelopeReport:
     Each piece's kernel is taken at all sample points in one
     :func:`kj_kernel` call (its 1-D radial route: at least 512 Gauss-Legendre
     nodes on the slice annulus, ~1e-13 of max|K_j| for rho <= 50); the
-    constants are bitwise those of per-point calls.  The pieces share one
-    Legendre rule per node count, which lives until the fit returns.
+    constants are bitwise those of per-point calls.  Its Legendre rules come
+    from the process-wide Gauss-rule memo, so the pieces share one rule per
+    node count with every other kernel route.
 
     Parameters
     ----------
@@ -327,7 +315,9 @@ def envelope_fit(pieces, n: int, M: float, points, bump) -> EnvelopeReport:
     n : int
         Spatial dimension.
     M : float
-        Envelope power, M > 0.
+        Envelope power, M > 0.  A level whose scale 2^(-j (alpha + 1))
+        underflows to 0, or an M so large that an envelope value does,
+        raises ``ValueError``.
     points : sequence of KernelPoint
         Sample points, inside the quadrature's reliable range.
     bump : BumpFunction
@@ -344,22 +334,29 @@ def envelope_fit(pieces, n: int, M: float, points, bump) -> EnvelopeReport:
     alpha = alphas.pop()
     levels = tuple(int(p.j) for p in pieces)
     constants = []
-    _piece_rules.append({})
-    try:
-        for piece in pieces:
-            scale = 2.0 ** (-float(piece.j))
-            best = 0.0
-            values = kj_kernel(points, piece, n, bump)
-            for pt, value in zip(points, values):
-                envelope = (
-                    scale ** (alpha + 1.0)
-                    * (1.0 + scale * pt.norm1) ** (-M)
-                    * (1.0 + scale * pt.norm2) ** (-M)
+    for piece in pieces:
+        scale = 2.0 ** (-float(piece.j))
+        decay = scale ** (alpha + 1.0)
+        if not decay > 0:
+            raise ValueError(
+                f"level j={piece.j} underflows the envelope scale 2^(-j (alpha + 1))"
+                f" at alpha={alpha:g}"
+            )
+        best = 0.0
+        values = kj_kernel(points, piece, n, bump)
+        for pt, value in zip(points, values):
+            envelope = (
+                decay
+                * (1.0 + scale * pt.norm1) ** (-M)
+                * (1.0 + scale * pt.norm2) ** (-M)
+            )
+            if not envelope > 0:
+                raise ValueError(
+                    f"envelope power M={M:g} underflows the envelope at j={piece.j},"
+                    f" rho={pt.rho:g}"
                 )
-                best = max(best, abs(float(value)) / envelope)
-            constants.append(best)
-    finally:
-        _piece_rules.pop()
+            best = max(best, abs(float(value)) / envelope)
+        constants.append(best)
     if len(levels) >= 2:
         slope, _, _ = least_squares_slope(
             np.asarray(levels, float), np.log10(constants)

@@ -64,6 +64,34 @@ def _smooth_noise(grid: Grid, rng: np.random.Generator, radius: float) -> Sample
     return dft_inverse(SampledField(grid, coeffs))
 
 
+#: climb noise of the last grid, by rng state: (noise, L2 norm) per step
+_last_noise: list = [None, {}]
+#: most bytes of climb noise kept: a default decay fit needs 0.41 MB
+_NOISE_BUDGET_BYTES = 2 << 20
+
+
+def _climb_noise(grid: Grid, rng: np.random.Generator) -> list:
+    """The ``CLIMB_STEPS`` perturbation noises a climb draws from ``rng``.
+
+    Each comes with its L2 norm.  They depend only on the grid and the state
+    of ``rng``, never on the operator, so the levels of a decay fit share
+    them: those of the last grid are kept, up to 2 MiB, and a climb whose
+    noise would pass that draws it afresh.  On a hit ``rng`` is not drawn
+    from, so the climb must draw nothing else from it.
+    """
+    if _last_noise[0] != grid:
+        _last_noise[:] = [grid, {}]
+    kept = _last_noise[1]
+    state = repr(rng.bit_generator.state)
+    if state not in kept:
+        noise = [_smooth_noise(grid, rng, _PERTURB_BAND) for _ in range(CLIMB_STEPS)]
+        drawn = [(field, lp_norm(field, 2)) for field in noise]
+        if (len(kept) + 1) * CLIMB_STEPS * noise[0].values.nbytes > _NOISE_BUDGET_BYTES:
+            return drawn
+        kept[state] = drawn
+    return kept[state]
+
+
 #: most witness catalogs kept alive, keyed by (grid, infinite, seed, radius)
 _CATALOG_SLOTS = 4
 _catalogs: dict = {}
@@ -162,16 +190,15 @@ def _ratio(op, f: SampledField, g: SampledField, p, den: float) -> float:
 
 
 def _perturb(
-    f: SampledField, infinite: bool, rng: np.random.Generator
+    f: SampledField, infinite: bool, noise: SampledField, size: float
 ) -> SampledField:
+    """``f`` moved by ``noise`` (of L2 norm ``size``): in phase if infinite."""
     if infinite:
-        theta = _smooth_noise(f.grid, rng, _PERTURB_BAND).values.real
+        theta = noise.values.real
         peak = np.max(np.abs(theta))
         if peak > 0:
             theta = theta * (_PHASE_SIZE / peak)
         return SampledField(f.grid, f.values * np.exp(2j * math.pi * theta))
-    noise = _smooth_noise(f.grid, rng, _PERTURB_BAND)
-    size = lp_norm(noise, 2)
     if not size > 0:
         return f
     return f + (_PERTURB_SIZE * lp_norm(f, 2) / size) * noise
@@ -238,12 +265,12 @@ def estimate_bilinear_norm(
         nf, ng = norm_f[fi], norm_g[gi]
         current = _ratio(op, f, g, p, nf * ng)
         accepted = 0
-        for step in range(CLIMB_STEPS):
+        for step, noise in enumerate(_climb_noise(grid, rng)):
             if step % 2 == 0:
-                cand_f, cand_g = _perturb(f, inf_f, rng), g
+                cand_f, cand_g = _perturb(f, inf_f, *noise), g
                 cand_nf, cand_ng = lp_norm(cand_f, p1), ng
             else:
-                cand_f, cand_g = f, _perturb(g, inf_g, rng)
+                cand_f, cand_g = f, _perturb(g, inf_g, *noise)
                 cand_nf, cand_ng = nf, lp_norm(cand_g, p2)
             value = _ratio(op, cand_f, cand_g, p, cand_nf * cand_ng)
             if value > current:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+import scipy.special
 from scipy.special import jv
 
-from brlab import bessel
+from brlab import bessel, kernel
 from brlab.bessel import (
     MAX_VALIDATED_ORDER,
     AccuracyWarning,
@@ -178,11 +179,67 @@ class TestBesselOracle:
     def test_independent_of_call_history(self, monkeypatch):
         # a nearby order asked for first must not lend its rule to a later one
         r = np.linspace(0.5, 150.0, 61)
-        monkeypatch.setattr(bessel, "_ORACLE_RULES", {})
+        monkeypatch.setattr(bessel, "_RULES", {})
         fresh = bessel_j_oracle(2.0, r)
-        monkeypatch.setattr(bessel, "_ORACLE_RULES", {})
+        monkeypatch.setattr(bessel, "_RULES", {})
         bessel_j_oracle(2.0 + 4e-13, r)
         assert bessel_j_oracle(2.0, r).tobytes() == fresh.tobytes()
+
+
+class TestGaussRules:
+    """The one Gauss-rule provider: ``roots_jacobi`` and ``roots_legendre``."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """A fresh memo, with every scipy build recorded by provider and args."""
+        log = []
+        monkeypatch.setattr(bessel, "_RULES", {})
+        for provider in (bessel.roots_jacobi, kernel.roots_legendre):
+            build = getattr(scipy.special, provider.name)
+
+            def builder(*args, name=provider.name, build=build):
+                log.append((name, *args))
+                return build(*args)
+
+            monkeypatch.setattr(provider, "fn", builder)
+        return log
+
+    def test_one_build_per_distinct_request(self, builds):
+        requests = [(8, 1.0, 1.0), (8, 1.0, 1.0 + 4e-13), (8, 1.0, 1.0), (9, 1.0, 1.0)]
+        rules = [bessel.roots_jacobi(*args) for args in requests]
+        assert rules[2] is rules[0] and rules[1] is not rules[0]
+        legendre = kernel.roots_legendre(8)
+        assert kernel.roots_legendre(8) is legendre
+        assert builds == [
+            ("roots_jacobi", 8, 1.0, 1.0),
+            ("roots_jacobi", 8, 1.0, 1.0 + 4e-13),
+            ("roots_jacobi", 9, 1.0, 1.0),
+            ("roots_legendre", 8),
+        ]
+
+    def test_rules_are_read_only(self, builds):
+        for nodes, weights in (bessel.roots_jacobi(6, 0.5, 0.0), kernel.roots_legendre(6)):
+            for array in (nodes, weights):
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+
+    def test_least_recently_used_rule_goes_past_the_budget(self, builds, monkeypatch):
+        # an 8-node rule holds 128 bytes of nodes and weights: room for two
+        monkeypatch.setattr(bessel, "RULE_BUDGET_BYTES", 256)
+        a, b, c = (8, 0.0, 0.0), (8, 1.0, 0.0), (8, 2.0, 0.0)
+        for args in (a, b, a, c):
+            bessel.roots_jacobi(*args)
+        assert list(bessel._RULES) == [("roots_jacobi", *a), ("roots_jacobi", *c)]
+        bessel.roots_jacobi(*b)  # rebuilt, and a goes in turn
+        assert list(bessel._RULES) == [("roots_jacobi", *c), ("roots_jacobi", *b)]
+        assert [args[1:] for args in builds] == [a, b, c, b]
+        # a rule larger than the whole budget is still kept, alone
+        bessel.roots_jacobi(40, 0.0, 0.0)
+        assert list(bessel._RULES) == [("roots_jacobi", 40, 0.0, 0.0)]
+
+    def test_one_provider_for_every_module(self):
+        assert kernel.roots_jacobi is bessel.roots_jacobi
+        assert isinstance(kernel.roots_legendre, bessel._GaussRules)
 
 
 class TestSphereFt:

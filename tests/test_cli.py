@@ -51,6 +51,21 @@ class TestValidation:
         assert rc == 2
         assert read_error(capsys)["key"] == "j_range"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["decay", "--mode", "tj", "--alpha", "2", "--j-range=-1:4", "--seed", "1"],
+            ["decay", "--mode", "gamma", "--alpha", "2", "--j-range=-1:4"],
+            ["kernel", "--check", "envelope", "--j-range=-3:2"],
+        ],
+        ids=["tj", "gamma", "envelope"],
+    )
+    def test_negative_level_rejected(self, flags, tmp_path, capsys):
+        # levels start at 0; these used to be refused under key "config"
+        rc, _ = run_cli(flags, tmp_path)
+        assert rc == 2
+        assert read_error(capsys)["key"] == "j_range"
+
     def test_missing_seed_for_randomized_run(self, tmp_path, capsys):
         rc, _ = run_cli(
             ["decay", "--mode", "tj", "--alpha", "2", "--j-range", "0:4"],
@@ -139,6 +154,53 @@ class TestValidation:
         assert record["error"] == "validation"
         assert record["key"] == key
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "flags,key",
+        [
+            (["--check", "sweep", "--rho-max", "inf"], "rho_max"),
+            (["--check", "sweep", "--rho-max", "nan"], "rho_max"),
+            (["--check", "sweep", "--rho-max", "1e308"], "rho_max"),
+            (["--check", "sweep", "--rho-max", "1e200"], "rho_max"),
+            (["--check", "dilation", "--R", "inf"], "R"),
+            (["--check", "dilation", "--R", "nan"], "R"),
+            (["--check", "dilation", "--R=-inf"], "R"),
+            (["--check", "dilation", "--R", "1e200"], "R"),
+            (["--check", "dilation", "--R", "1e100", "--n", "2"], "R"),
+            (["--check", "dilation", "--R", "0"], "R"),
+            (["--check", "envelope", "--M", "inf"], "M"),
+            (["--check", "envelope", "--M", "200"], "M"),
+            (["--check", "envelope", "--alpha", "100", "--j-range", "0:5", "--M", "400"], "M"),
+            (["--check", "envelope", "--j-range", "0:500"], "j_range"),
+            (["--check", "envelope", "--alpha", "400"], "j_range"),
+            (["--alpha", "nan"], "alpha"),
+            (["--alpha", "inf"], "alpha"),
+        ],
+    )
+    def test_kernel_refuses_unusable_numbers(self, flags, key, tmp_path, capsys):
+        # each used to crash with OverflowError or ZeroDivisionError, or to
+        # refuse under key "config"; an envelope scale 2^(-j (alpha + 1))
+        # that underflows names j_range, and M only once every scale is positive
+        rc, _ = run_cli(["kernel", *flags], tmp_path)
+        assert rc == 2
+        record = read_error(capsys)
+        assert (record["error"], record["key"]) == ("validation", key)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "flags,key",
+        [
+            (["evaluate", "--alpha", "2", "--L", "inf"], "L"),
+            (["decay", "--mode", "gamma", "--alpha", "2", "--delta", "nan"], "delta"),
+            (["norms", "--p", "1", "--widths", "1/2,inf", "--seed", "1"], "widths"),
+            (["bessel-check", "--r-max", "inf"], "r_max"),
+        ],
+        ids=["L", "delta", "widths", "r_max"],
+    )
+    def test_every_number_flag_refuses_non_finite(self, flags, key, tmp_path, capsys):
+        rc, _ = run_cli(flags, tmp_path)
+        assert rc == 2
+        assert read_error(capsys)["key"] == key
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

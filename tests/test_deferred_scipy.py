@@ -62,31 +62,52 @@ def test_brlab_starts_without_scipy(tmp_path):
 
 
 def test_rule_hooks_intercept_every_build(monkeypatch):
-    builds = []
+    # the rule attributes see every request, memo hits included; the
+    # builders behind them run once per distinct rule
+    requests, builds = [], []
 
     def counted(module, name):
         rule = getattr(module, name)
 
-        def build(*args):
-            builds.append((module.__name__, name, args[0]))
+        def request(*args):
+            requests.append((module.__name__, name, args[0]))
             return rule(*args)
 
-        monkeypatch.setattr(module, name, build)
+        monkeypatch.setattr(module, name, request)
 
+    def counted_builder(provider):
+        build = getattr(scipy.special, provider.name)
+
+        def builder(*args):
+            builds.append((provider.name, args[0]))
+            return build(*args)
+
+        monkeypatch.setattr(provider, "fn", builder)
+
+    monkeypatch.setattr(bessel, "_RULES", {})
+    counted_builder(bessel.roots_jacobi)
+    counted_builder(kernel.roots_legendre)
     counted(kernel, "roots_jacobi")
     counted(kernel, "roots_legendre")
     counted(bessel, "roots_jacobi")
-    kernel_quadrature(KernelPoint(0.5, 0.25), 2.0, 1)
-    assert builds == [("brlab.kernel", "roots_jacobi", 128), ("brlab.kernel", "roots_legendre", 128)]
+    for _ in range(2):
+        kernel_quadrature(KernelPoint(0.5, 0.25), 2.0, 1)
+    pair = [("brlab.kernel", "roots_jacobi", 128), ("brlab.kernel", "roots_legendre", 128)]
+    assert requests == 2 * pair
+    assert builds == [("roots_jacobi", 128), ("roots_legendre", 128)]
+    requests.clear()
     builds.clear()
     pieces = [DyadicPiece(j, 2.0) for j in range(3)]
     points = [KernelPoint(a, b) for a in (0.0, 1.5) for b in (0.0, 3.0)]
     envelope_fit(pieces, 1, 2.0, points, make_bump())
-    assert builds == [("brlab.kernel", "roots_legendre", kernel.PIECE_NODES)]
+    assert requests == 3 * [("brlab.kernel", "roots_legendre", kernel.PIECE_NODES)]
+    assert builds == [("roots_legendre", kernel.PIECE_NODES)]
+    requests.clear()
     builds.clear()
-    monkeypatch.setattr(bessel, "_ORACLE_RULES", {})
-    bessel.bessel_j_oracle(1.25, 3.0)
-    assert builds == [("brlab.bessel", "roots_jacobi", bessel.ORACLE_NODES)]
+    for _ in range(2):
+        bessel.bessel_j_oracle(1.25, 3.0)
+    assert requests == 2 * [("brlab.bessel", "roots_jacobi", bessel.ORACLE_NODES)]
+    assert builds == [("roots_jacobi", bessel.ORACLE_NODES)]
 
 
 def test_deferred_functions_match_scipy_bitwise():

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.special import gammaln, roots_legendre
 from helpers import cli_artifact, polar_kj_kernel, read_csv_rows
 
-from brlab import kernel
+from brlab import bessel, kernel
 from brlab.bessel import AccuracyWarning
 from brlab.decomposition import DyadicPiece, make_bump
 from brlab.kernel import (
@@ -345,7 +345,7 @@ class TestEnvelope:
         points = sample_points()
         builds, inside = [], []
 
-        def counted_rule(nodes):
+        def counted_build(nodes):
             builds.append(nodes)
             return roots_legendre(nodes)
 
@@ -353,15 +353,26 @@ class TestEnvelope:
             inside.append(kj_kernel(*args))
             return inside[-1]
 
-        monkeypatch.setattr(kernel, "roots_legendre", counted_rule)
+        monkeypatch.setattr(bessel, "_RULES", {})
+        monkeypatch.setattr(kernel.roots_legendre, "fn", counted_build)
         monkeypatch.setattr(kernel, "kj_kernel", recorded)
         envelope_fit(pieces, 1, 2.0, points, BUMP)
         assert builds == [kernel.PIECE_NODES]
-        assert kernel._piece_rules == []
-        # outside a fit each call builds its own rule, to the same bits
+        # per-piece calls after the fit reuse that rule, to the same bits
         for piece, values in zip(pieces, inside, strict=True):
             assert kj_kernel(points, piece, 1, BUMP).tobytes() == values.tobytes()
-        assert len(builds) == 1 + len(pieces)
+        assert builds == [kernel.PIECE_NODES]
+        # a fresh memo rebuilds the rule, to the same bits again
+        monkeypatch.setattr(bessel, "_RULES", {})
+        assert kj_kernel(points, pieces[3], 1, BUMP).tobytes() == inside[3].tobytes()
+        assert builds == [kernel.PIECE_NODES] * 2
+
+    def test_underflowing_envelope_names_its_factor(self):
+        # 2^(-400 * 3) is 0 whatever M is; at j=0 only M can reach 0
+        with pytest.raises(ValueError, match=r"level j=400 underflows the envelope scale"):
+            envelope_fit(DyadicPiece(400, 2.0), 1, 2.0, sample_points(), BUMP)
+        with pytest.raises(ValueError, match=r"envelope power M=1000 underflows"):
+            envelope_fit(DyadicPiece(0, 2.0), 1, 1000.0, sample_points(), BUMP)
 
     def test_single_piece_accepted(self):
         report = envelope_fit(DyadicPiece(1, 2.0), 1, 2.0, sample_points(), BUMP)

@@ -177,9 +177,9 @@ class TestDecayFit:
 
 def _fresh_transforms(monkeypatch, exponents):
     """Defeat every reuse: a new catalog on every call, a new spectrum per
-    transform, a new noise mask per draw, and each ratio's norms computed
-    afresh in one expression."""
-    build, noise = norms.witness_catalog, norms._smooth_noise
+    transform, a new noise mask per draw, new climb noise per trial, and
+    each ratio's norms computed afresh in one expression."""
+    build, noise, climb = norms.witness_catalog, norms._smooth_noise, norms._climb_noise
     ep = ExponentPair(*exponents)
 
     def fresh_ratio(op, f, g, p, den):
@@ -194,6 +194,10 @@ def _fresh_transforms(monkeypatch, exponents):
         norms._last_mask[:] = [None, None, 0]
         return noise(grid, rng, radius)
 
+    def fresh_climb_noise(grid, rng):
+        norms._last_noise[:] = [None, {}]
+        return climb(grid, rng)
+
     def fresh_forward(f):
         return SampledField(f.grid, np.fft.fftn(f.values) * f.grid.cell_volume)
 
@@ -201,6 +205,7 @@ def _fresh_transforms(monkeypatch, exponents):
     monkeypatch.setattr(operators, "dft_forward", fresh_forward)
     monkeypatch.setattr(norms, "_ratio", fresh_ratio)
     monkeypatch.setattr(norms, "_smooth_noise", fresh_noise)
+    monkeypatch.setattr(norms, "_climb_noise", fresh_climb_noise)
 
 
 def _assert_same_estimates(a, b):
@@ -223,6 +228,7 @@ class TestTransformMemos:
 
     def test_decay_fit_matches_fresh_transforms(self, monkeypatch):
         norms._catalogs.clear()
+        norms._last_noise[:] = [None, {}]
         cold, warm = self._fit(), self._fit()
         with monkeypatch.context() as patch:
             _fresh_transforms(patch, (1, 1))
@@ -231,6 +237,42 @@ class TestTransformMemos:
             assert fit.norms == fresh.norms
             _assert_same_estimates(fit.estimates, fresh.estimates)
 
+    def test_climb_noise_drawn_once_per_fit(self, monkeypatch):
+        # the levels of a fit share each trial's climb noise, and a second
+        # fit on the same grid and seed draws none
+        draws, noise = [], norms._smooth_noise
+
+        def counted(grid, rng, radius):
+            draws.append(radius)
+            return noise(grid, rng, radius)
+
+        norms._last_noise[:] = [None, {}]
+        monkeypatch.setattr(norms, "_smooth_noise", counted)
+        for _ in range(2):
+            decay_fit(tj_family(2.0), (1, 1), self.GRID, range(4), 2, seed=21)
+        assert draws.count(norms._PERTURB_BAND) == 2 * norms.CLIMB_STEPS
+
+    def test_climb_noise_past_the_budget_is_drawn_afresh(self, monkeypatch):
+        # room for one trial's noise: the second trial draws its own at every
+        # level, and a fit on another grid drops what the first grid kept
+        draws, noise = [], norms._smooth_noise
+
+        def counted(grid, rng, radius):
+            draws.append(radius)
+            return noise(grid, rng, radius)
+
+        norms._last_noise[:] = [None, {}]
+        monkeypatch.setattr(norms, "_smooth_noise", counted)
+        field_bytes = 16 * self.GRID.N
+        monkeypatch.setattr(norms, "_NOISE_BUDGET_BYTES", norms.CLIMB_STEPS * field_bytes)
+        for _ in range(2):
+            decay_fit(tj_family(2.0), (1, 1), self.GRID, range(4), 2, seed=21)
+        assert draws.count(norms._PERTURB_BAND) == (1 + 2 * 4) * norms.CLIMB_STEPS
+        assert len(norms._last_noise[1]) == 1
+        other = Grid(1, 128, 32.0)
+        decay_fit(tj_family(2.0), (1, 1), other, range(4), 1, seed=21)
+        assert norms._last_noise[0] == other and len(norms._last_noise[1]) == 1
+
     # at (2, inf) the climb's witnesses have inexact norms, so this case
     # also sees a denominator computed in another order
     @pytest.mark.parametrize("exponents", [(1, math.inf), (2, math.inf)])
@@ -238,6 +280,7 @@ class TestTransformMemos:
         grid = Grid(2, 16, 8.0)
         op = tj_family(2.0)(1)
         norms._catalogs.clear()
+        norms._last_noise[:] = [None, {}]
         memo = [estimate_bilinear_norm(op, exponents, grid, 2, seed=6) for _ in range(2)]
         _fresh_transforms(monkeypatch, exponents)
         fresh = estimate_bilinear_norm(op, exponents, grid, 2, seed=6)
