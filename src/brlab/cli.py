@@ -35,6 +35,8 @@ from .decomposition import (
 )
 from .grid import ExponentPair, Grid, field_to_csv, lp_norm, make_test_field, write_rows
 from .kernel import (
+    MAX_CYCLES,
+    NODE_CAP,
     KernelPoint,
     check_closed_form,
     dilation_check,
@@ -61,6 +63,7 @@ EXIT_IO = 4
 OUTPUT_ROOT_ENV = "BRLAB_OUTPUT_ROOT"
 
 _RATIONAL_RE = re.compile(r"^\d+(/\d+)?$")
+_GOT_NAME_RE = re.compile(r"\bgot (\w+)=")
 
 #: parameter names recognized when mapping module errors back to CLI keys
 _KNOWN_KEYS = (
@@ -126,6 +129,8 @@ def _number(text, key: str) -> float:
     else:
         try:
             value = float(Fraction(text.strip()))
+        except OverflowError:
+            value = math.inf
         except (ValueError, ZeroDivisionError):
             try:
                 value = float(text)
@@ -159,8 +164,13 @@ def _require_seed(args) -> int:
     return int(args.seed)
 
 
-def _classify_value_error(err: ValueError) -> CliError:
+def _classify_value_error(err: ValueError, flags) -> CliError:
+    """Key of a library refusal: its first ``got <name>=`` that names one of
+    ``flags``, else the first known key in its message."""
     message = str(err)
+    for name in _GOT_NAME_RE.findall(message):
+        if name in flags:
+            return CliError(name, message)
     for key in _KNOWN_KEYS:
         if key in message:
             return CliError(key, message)
@@ -371,6 +381,16 @@ def _kernel_points(rhos, n: int) -> list[KernelPoint]:
     return points
 
 
+def _refuse_past_node_cap(cycles: float, key: str) -> None:
+    """Refuse a sample whose quadrature would want more than NODE_CAP nodes."""
+    if cycles > MAX_CYCLES:
+        raise CliError(
+            key,
+            f"{key}: the largest sample needs {cycles:g} oscillation cycles (radius * rho),"
+            f" more than the {MAX_CYCLES:.0f} that {NODE_CAP} quadrature nodes resolve",
+        )
+
+
 def _cmd_kernel(args, run_dir: str) -> dict:
     if args.check not in ("sweep", "dilation", "envelope"):
         raise CliError(
@@ -395,11 +415,13 @@ def _cmd_kernel(args, run_dir: str) -> dict:
         if rho_max <= 0:
             raise CliError("rho_max", f"sweep range is empty, got rho_max={rho_max}")
         rhos = [rho_max * (i + 1) / points for i in range(points)]
-        if not math.isfinite(_kernel_points(rhos[-1:], n)[0].rho):
+        top = _kernel_points(rhos[-1:], n)[0].rho
+        if not math.isfinite(top):
             raise CliError("rho_max", f"rho_max={rho_max:g} overflows the sample radii")
         config.update({"points": points, "rho_max": rho_max})
         check_closed_form(alpha, n)
     if args.check == "sweep":
+        _refuse_past_node_cap(top, "rho_max")
         closed = kernel_radial(np.asarray(rhos), alpha, n)
         quads = [kernel_quadrature(pt, alpha, n) for pt in _kernel_points(rhos, n)]
         rows = [[rho, c, q, abs(float(c) - q)] for rho, c, q in zip(rhos, closed, quads)]
@@ -416,6 +438,7 @@ def _cmd_kernel(args, run_dir: str) -> dict:
             raise CliError("R", f"R must be positive, got {R:g}")
         if not 2 * n * math.log(R * max(rhos[-1], 1.0)) < math.log(sys.float_info.max):
             raise CliError("R", f"R={R:g} overflows the dilated kernel")
+        _refuse_past_node_cap(R * top, "R")
         rows = [[pt.rho, dilation_check(pt, alpha, n, R)] for pt in _kernel_points(rhos, n)]
         write_rows(os.path.join(run_dir, "dilation.csv"), ["rho", "residual"], rows)
         print(f"dilation check R={R:g}: max residual {max(row[1] for row in rows):.6e}")
@@ -528,13 +551,14 @@ def _cmd_bessel_check(args, run_dir: str) -> dict:
         token = token.strip()
         if not token:
             continue
-        orders.append(float(Fraction(_rational(token, "orders"))))
-        if orders[-1] > MAX_VALIDATED_ORDER:
+        order = _rational(token, "orders")
+        if order == "inf" or Fraction(order) > MAX_VALIDATED_ORDER:
             raise CliError(
                 "orders",
-                f"orders: Bessel order {orders[-1]:g} > {MAX_VALIDATED_ORDER:g},"
+                f"orders: Bessel order {order} > {MAX_VALIDATED_ORDER:g},"
                 " the validated maximum",
             )
+        orders.append(float(Fraction(order)))
     if not orders:
         raise CliError("orders", "orders must name at least one Bessel order")
     points = int(args.points)
@@ -689,7 +713,7 @@ def main(argv=None) -> int:
         _emit_error("budget", "budget", str(err))
         return EXIT_BUDGET
     except ValueError as err:
-        cli_err = _classify_value_error(err)
+        cli_err = _classify_value_error(err, vars(args))
         _emit_error("validation", cli_err.key, str(cli_err))
         return EXIT_VALIDATION
     except OSError as err:

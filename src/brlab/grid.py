@@ -273,13 +273,12 @@ def make_test_field(kind: str, params: dict, grid: Grid, seed: int = 0) -> Sampl
 
     Parameters
     ----------
-    kind : {"gaussian", "ball_indicator", "band_limited_random", "bump"}
+    kind : {"gaussian", "ball_indicator", "band_limited_random"}
     params : dict
         gaussian: ``width`` (> 0), optional ``center``.
         ball_indicator: ``radius`` (0 < radius < L/4), optional ``center``.
         band_limited_random: ``band`` = (a, b) with the annulus
         a <= |xi| <= b meeting the frequency lattice.
-        bump: ``width`` (support radius, < L/4), optional ``center``.
     grid : Grid
     seed : int
         Only band_limited_random draws randomness; identical inputs give
@@ -362,26 +361,9 @@ def make_test_field(kind: str, params: dict, grid: Grid, seed: int = 0) -> Sampl
         scale = lp_norm(field_out, 2)
         return field_out * (1.0 / scale)
 
-    if kind == "bump":
-        width = params.pop("width", None)
-        _require(width is not None, kind, "width", "is required")
-        _require(
-            0 < width < grid.L / 4.0,
-            kind,
-            "width",
-            f"must lie in (0, L/4) = (0, {grid.L / 4.0}), got {width}",
-        )
-        _leftover(kind, params)
-        delta = grid.wrapped_delta(center_arr)
-        s = sum(d**2 for d in delta) / width**2
-        values = np.zeros(grid.shape)
-        inside = s < 1.0
-        values[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
-        return SampledField(grid, values)
-
     raise ValueError(
         f"make_test_field: parameter 'kind' must be one of gaussian, ball_indicator,"
-        f" band_limited_random, bump; got {kind!r}"
+        f" band_limited_random; got {kind!r}"
     )
 
 

@@ -41,6 +41,9 @@ roots_legendre = _GaussRules("roots_legendre")
 OSCILLATION_BUDGET = 50.0
 #: hard cap on per-axis quadrature nodes
 NODE_CAP = 3000
+#: most oscillation cycles (radius * rho) the quadratures resolve: they want
+#: 80 + 3.6 nodes per cycle, and past NODE_CAP their values mean nothing
+MAX_CYCLES = (NODE_CAP - 80) / 3.6
 #: Gauss-Legendre node floor of the piece kernels' radial rule
 PIECE_NODES = 512
 _SERIES_RHO = 1e-3

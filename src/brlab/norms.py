@@ -49,47 +49,24 @@ def _annulus_packet(grid: Grid, a: float, b: float) -> SampledField:
     return field * (1.0 / lp_norm(field, 2))
 
 
-#: (grid, radius), frequency mask and its count of the last _smooth_noise call
-_last_mask: list = [None, None, 0]
-
-
-def _smooth_noise(grid: Grid, rng: np.random.Generator, radius: float) -> SampledField:
-    """Band-limited complex noise; the mask of the last (grid, radius) is kept."""
-    if _last_mask[0] != (grid, radius):
-        mask = grid.freq_radii() <= radius
-        _last_mask[:] = [(grid, radius), mask, int(np.sum(mask))]
-    _, mask, count = _last_mask
+def _smooth_noise(grid: Grid, rng: np.random.Generator, mask: np.ndarray) -> SampledField:
+    """Complex noise drawn from ``rng`` on the frequencies where ``mask`` holds."""
+    count = int(np.sum(mask))
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
     coeffs[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     return dft_inverse(SampledField(grid, coeffs))
-
-
-#: climb noise of the last grid, by rng state: (noise, L2 norm) per step
-_last_noise: list = [None, {}]
-#: most bytes of climb noise kept: a default decay fit needs 0.41 MB
-_NOISE_BUDGET_BYTES = 2 << 20
 
 
 def _climb_noise(grid: Grid, rng: np.random.Generator) -> list:
     """The ``CLIMB_STEPS`` perturbation noises a climb draws from ``rng``.
 
     Each comes with its L2 norm.  They depend only on the grid and the state
-    of ``rng``, never on the operator, so the levels of a decay fit share
-    them: those of the last grid are kept, up to 2 MiB, and a climb whose
-    noise would pass that draws it afresh.  On a hit ``rng`` is not drawn
-    from, so the climb must draw nothing else from it.
+    of ``rng``, never on the operator, so a search draws each trial's set
+    once and every operator it searches climbs on the same set.
     """
-    if _last_noise[0] != grid:
-        _last_noise[:] = [grid, {}]
-    kept = _last_noise[1]
-    state = repr(rng.bit_generator.state)
-    if state not in kept:
-        noise = [_smooth_noise(grid, rng, _PERTURB_BAND) for _ in range(CLIMB_STEPS)]
-        drawn = [(field, lp_norm(field, 2)) for field in noise]
-        if (len(kept) + 1) * CLIMB_STEPS * noise[0].values.nbytes > _NOISE_BUDGET_BYTES:
-            return drawn
-        kept[state] = drawn
-    return kept[state]
+    mask = grid.freq_radii() <= _PERTURB_BAND
+    noise = [_smooth_noise(grid, rng, mask) for _ in range(CLIMB_STEPS)]
+    return [(field, lp_norm(field, 2)) for field in noise]
 
 
 #: most witness catalogs kept alive, keyed by (grid, infinite, seed, radius)
@@ -113,11 +90,11 @@ def witness_catalog(
     infinite-exponent catalog holds unimodular fields: constants and
     random smooth phases, where the sup-norm constraint binds.
 
-    The last ``_CATALOG_SLOTS`` (4) catalogs built are kept, so the levels
-    of a decay fit share their witness fields and the spectra that
-    :func:`~brlab.grid.dft_forward` keeps on them; at most 4 catalogs and
-    their spectra stay alive.  Each call returns a fresh list of the same
-    immutable fields.
+    A search builds each slot's catalog once for all its operators; the
+    last ``_CATALOG_SLOTS`` (4) catalogs built are kept, so repeated fits in
+    one process share their witness fields and the spectra that
+    :func:`~brlab.grid.dft_forward` keeps on them.  Each call returns a
+    fresh list of the same immutable fields.
     """
     key = (grid, bool(infinite), seed, float(modulation_radius))
     items = _catalogs.pop(key, None)
@@ -138,9 +115,10 @@ def _build_catalog(
         ones = SampledField(grid, np.ones(grid.shape))
         items.append(("const", ones))
         items.append(("const_modulated", modulate(ones, direction)))
+        mask = grid.freq_radii() <= 1.0
         for i, scale in enumerate((0.5, 1.0, 2.0)):
             rng = np.random.default_rng([seed, 7, i])
-            theta = _smooth_noise(grid, rng, 1.0).values.real
+            theta = _smooth_noise(grid, rng, mask).values.real
             peak = np.max(np.abs(theta))
             theta = theta / peak if peak > 0 else theta
             values = np.exp(2j * math.pi * scale * theta)
@@ -226,7 +204,7 @@ def recompute_ratio(op, estimate: NormEstimate) -> float:
 
 def estimate_bilinear_norm(
     op, exponents, grid: Grid, trials: int, seed: int
-) -> NormEstimate:
+) -> NormEstimate | tuple[NormEstimate, ...]:
     """Lower-bound the mixed-norm operator norm of ``op`` by witness search.
 
     Trial 0 sweeps the full witness-catalog pair grid and hill-climbs from
@@ -236,6 +214,11 @@ def estimate_bilinear_norm(
     improvement).  Each catalog field's norm and each climb candidate's is
     computed once; every ratio is lp_norm(T(f, g), p) / (lp_norm(f, p1)
     lp_norm(g, p2)) in that order.
+
+    ``op`` is one bilinear operator, giving one :class:`NormEstimate`, or a
+    sequence of them, giving a tuple whose entry i is bitwise the estimate of
+    ``op[i]`` alone: the catalogs, their norms, each trial's start pair and
+    climb noise are built once and every operator is searched on them.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
@@ -246,50 +229,50 @@ def estimate_bilinear_norm(
     cat_g = witness_catalog(grid, inf_g, seed + 1)
     norm_f = [lp_norm(f, p1) for _, f in cat_f]
     norm_g = [lp_norm(g, p2) for _, g in cat_g]
-    best_value = 0.0
-    best = (cat_f[0][1], cat_g[0][1], cat_f[0][0], cat_g[0][0])
+    starts, noises = [None], []  # trial 0 starts from its sweep's best pair
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        if t == 0:
-            pair_best, pair = 0.0, (0, 0)
-            for fi, (_, f) in enumerate(cat_f):
-                for gi, (_, g) in enumerate(cat_g):
-                    value = _ratio(op, f, g, p, norm_f[fi] * norm_g[gi])
-                    if value > pair_best:
-                        pair_best, pair = value, (fi, gi)
-            fi, gi = pair
-        else:
-            fi = int(rng.integers(0, len(cat_f)))
-            gi = int(rng.integers(0, len(cat_g)))
-        (id_f, f), (id_g, g) = cat_f[fi], cat_g[gi]
-        nf, ng = norm_f[fi], norm_g[gi]
-        current = _ratio(op, f, g, p, nf * ng)
-        accepted = 0
-        for step, noise in enumerate(_climb_noise(grid, rng)):
-            if step % 2 == 0:
-                cand_f, cand_g = _perturb(f, inf_f, *noise), g
-                cand_nf, cand_ng = lp_norm(cand_f, p1), ng
-            else:
-                cand_f, cand_g = f, _perturb(g, inf_g, *noise)
-                cand_nf, cand_ng = nf, lp_norm(cand_g, p2)
-            value = _ratio(op, cand_f, cand_g, p, cand_nf * cand_ng)
-            if value > current:
-                current, f, g, nf, ng = value, cand_f, cand_g, cand_nf, cand_ng
-                accepted += 1
-        suffix = f"+climb{accepted}" if accepted else ""
-        if current > best_value:
-            best_value = current
-            best = (f, g, id_f + suffix, id_g + suffix)
-    return NormEstimate(
-        value=best_value,
-        witness_f=best[0],
-        witness_g=best[1],
-        exponents=ep,
-        trials=int(trials),
-        seed=int(seed),
-        witness_id_f=best[2],
-        witness_id_g=best[3],
-    )
+        if t > 0:
+            starts.append((int(rng.integers(0, len(cat_f))), int(rng.integers(0, len(cat_g)))))
+        noises.append(_climb_noise(grid, rng))
+
+    def search(op) -> NormEstimate:
+        best_value = 0.0
+        best = (cat_f[0][1], cat_g[0][1], cat_f[0][0], cat_g[0][0])
+        for start, noise in zip(starts, noises):
+            if start is None:
+                pair_best, start = 0.0, (0, 0)
+                for fi, (_, f) in enumerate(cat_f):
+                    for gi, (_, g) in enumerate(cat_g):
+                        value = _ratio(op, f, g, p, norm_f[fi] * norm_g[gi])
+                        if value > pair_best:
+                            pair_best, start = value, (fi, gi)
+            fi, gi = start
+            (id_f, f), (id_g, g) = cat_f[fi], cat_g[gi]
+            nf, ng = norm_f[fi], norm_g[gi]
+            current = _ratio(op, f, g, p, nf * ng)
+            accepted = 0
+            for step, step_noise in enumerate(noise):
+                if step % 2 == 0:
+                    cand_f, cand_g = _perturb(f, inf_f, *step_noise), g
+                    cand_nf, cand_ng = lp_norm(cand_f, p1), ng
+                else:
+                    cand_f, cand_g = f, _perturb(g, inf_g, *step_noise)
+                    cand_nf, cand_ng = nf, lp_norm(cand_g, p2)
+                value = _ratio(op, cand_f, cand_g, p, cand_nf * cand_ng)
+                if value > current:
+                    current, f, g, nf, ng = value, cand_f, cand_g, cand_nf, cand_ng
+                    accepted += 1
+            suffix = f"+climb{accepted}" if accepted else ""
+            if current > best_value:
+                best_value = current
+                best = (f, g, id_f + suffix, id_g + suffix)
+        f, g, id_f, id_g = best
+        return NormEstimate(best_value, f, g, ep, int(trials), int(seed), id_f, id_g)
+
+    if callable(op):
+        return search(op)
+    return tuple(search(one) for one in op)
 
 
 @dataclass(frozen=True)
@@ -316,15 +299,14 @@ def decay_fit(
     """Estimate piece norms across levels and fit their dyadic decay rate.
 
     ``op_family`` maps a level j to a bilinear operator handle.  Requires
-    at least 4 levels for a meaningful fit.
+    at least 4 levels for a meaningful fit.  The levels share one
+    :func:`estimate_bilinear_norm` search, and so its catalogs and noise.
     """
     js = sorted(int(j) for j in j_range)
     if len(js) < 4:
         raise ValueError(f"need at least 4 levels for a decay fit, got {len(js)}")
     ep = _as_pair(exponents)
-    estimates = tuple(
-        estimate_bilinear_norm(op_family(j), ep, grid, trials, seed) for j in js
-    )
+    estimates = estimate_bilinear_norm([op_family(j) for j in js], ep, grid, trials, seed)
     norms = tuple(est.value for est in estimates)
     if any(not v > 0 or not math.isfinite(v) for v in norms):
         return DecayFit(tuple(js), norms, 0.0, 0.0, 0.0, True, estimates)

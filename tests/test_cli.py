@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import argparse
 import csv
 import json
 import os
@@ -7,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from brlab.cli import main
+from brlab.bessel import AccuracyWarning
+from brlab.cli import _build_parser, main
 from brlab.decomposition import DyadicPiece, gamma_decay_check, make_bump, t_j_apply
 from brlab.grid import ExponentPair, Grid, field_from_csv
 from brlab.norms import corollary_experiment, decay_fit
@@ -32,6 +34,46 @@ def read_error(capsys):
 def load_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+#: flags whose value is a word, not a number
+_WORD_FLAGS = {"outdir", "mode", "check", "experiment", "paths"}
+#: argv under which each command reads every flag of its default mode
+_COMMAND_ARGV = {
+    "evaluate": ["--alpha", "2"],
+    "decay": ["--alpha", "2", "--seed", "1"],
+    "regions": ["--p1", "1", "--p2", "1"],
+    "kernel": [],
+    "norms": ["--p", "1", "--seed", "1"],
+    "bessel-check": [],
+}
+#: argv of the mode that reads a flag its command's default mode leaves unread
+_MODE_ARGV = {
+    ("decay", "delta"): ["--mode", "gamma", "--alpha", "2"],
+    ("kernel", "R"): ["--check", "dilation", "--R", "2"],
+    ("kernel", "M"): ["--check", "envelope"],
+    ("kernel", "j_range"): ["--check", "envelope"],
+    ("norms", "alpha"): ["--experiment", "corollary", "--seed", "1"],
+}
+
+
+def _number_flag_cases():
+    """(argv, key) feeding every flag the CLI parses itself, on every
+    command, a number it cannot use; argparse refuses the int flags."""
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    cases = []
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            if not isinstance(action, argparse._StoreAction) or action.type is not None:
+                continue
+            if action.dest in _WORD_FLAGS:
+                continue
+            base = _MODE_ARGV.get((command, action.dest), _COMMAND_ARGV[command])
+            for value in ("1e400", "nan", "-inf"):
+                argv = [command, *base, f"{action.option_strings[0]}={value}"]
+                cases.append(pytest.param(argv, action.dest, id=f"{command}-{action.dest}-{value}"))
+    return cases
 
 
 class TestValidation:
@@ -199,6 +241,27 @@ class TestValidation:
     )
     def test_every_number_flag_refuses_non_finite(self, flags, key, tmp_path, capsys):
         rc, _ = run_cli(flags, tmp_path)
+        assert rc == 2
+        assert read_error(capsys)["key"] == key
+
+    @pytest.mark.parametrize("argv,key", _number_flag_cases())
+    def test_unusable_number_names_its_flag(self, argv, key, tmp_path, capsys):
+        rc, _ = run_cli(argv, tmp_path)
+        assert rc == 2
+        assert read_error(capsys)["key"] == key
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["decay", "--mode", "gamma", "--alpha", "2", "--delta", "3"], "delta"),
+            (["norms", "--experiment", "lemma1", "--p", "1", "--b", "100", "--seed", "1"], "b"),
+            (["evaluate", "--alpha", "2", "--N", "12"], "N"),
+        ],
+        ids=["delta", "b", "N"],
+    )
+    def test_library_refusal_names_the_flag_it_prints(self, argv, key, tmp_path, capsys):
+        rc, _ = run_cli(argv, tmp_path)
         assert rc == 2
         assert read_error(capsys)["key"] == key
 
@@ -440,6 +503,28 @@ class TestKernel:
         rows = load_rows(os.path.join(run_dir, "dilation.csv"))
         assert all(float(r[1]) < 1e-6 for r in rows[1:])
 
+    @pytest.mark.parametrize(
+        "flags,key",
+        [
+            (["--check", "sweep", "--rho-max", "1e6"], "rho_max"),
+            (["--check", "dilation", "--R", "1000"], "R"),
+        ],
+        ids=["sweep", "dilation"],
+    )
+    def test_refuses_samples_past_the_node_cap(self, flags, key, tmp_path, capsys):
+        rc, _ = run_cli(["kernel", *flags, "--points", "2"], tmp_path)
+        assert rc == 2
+        assert read_error(capsys)["key"] == key
+        assert os.listdir(tmp_path) == []
+
+    def test_sweep_past_the_oscillation_budget_runs_and_warns(self, tmp_path):
+        with pytest.warns(AccuracyWarning, match="oscillation budget"):
+            rc, run_dir = run_cli(
+                ["kernel", "--check", "sweep", "--rho-max", "60", "--points", "2"], tmp_path
+            )
+        assert rc == 0
+        assert len(load_rows(os.path.join(run_dir, "kernel.csv"))) == 3
+
     def test_envelope_report(self, tmp_path, capsys):
         rc, run_dir = run_cli(
             ["kernel", "--check", "envelope", "--alpha", "2", "--M", "2"],
@@ -515,6 +600,11 @@ class TestBesselCheck:
 
     def test_bad_order_rejected(self, tmp_path, capsys):
         rc, _ = run_cli(["bessel-check", "--orders", "0.25"], tmp_path)
+        assert rc == 2
+        assert read_error(capsys)["key"] == "orders"
+
+    def test_infinite_order_rejected(self, tmp_path, capsys):
+        rc, _ = run_cli(["bessel-check", "--orders", "inf"], tmp_path)
         assert rc == 2
         assert read_error(capsys)["key"] == "orders"
 

@@ -273,13 +273,6 @@ class TestMakeTestField:
         c = make_test_field("band_limited_random", {"band": (0.5, 1.0)}, grid, seed=5)
         assert not np.array_equal(a.values, c.values)
 
-    def test_bump_supported_in_ball(self):
-        grid = Grid(1, 128, 16.0)
-        f = make_test_field("bump", {"width": 2.0}, grid)
-        (delta,) = grid.wrapped_delta([8.0])
-        assert np.all(f.values[np.abs(delta) >= 2.0] == 0)
-        assert f.values[np.argmin(np.abs(delta))].real == 1.0
-
     def test_errors_name_the_offending_parameter(self):
         grid = Grid(1, 64, 16.0)
         with pytest.raises(ValueError, match="'width'"):

@@ -13,6 +13,7 @@ from brlab import bessel, kernel
 from brlab.bessel import AccuracyWarning
 from brlab.decomposition import DyadicPiece, make_bump
 from brlab.kernel import (
+    MAX_CYCLES,
     NODE_CAP,
     EnvelopeReport,
     KernelPoint,
@@ -189,6 +190,11 @@ class TestQuadrature:
     def test_node_cap_warns(self):
         with pytest.warns(AccuracyWarning):
             kernel_quadrature(KernelPoint(40.0, 0.0), 1.0, 1, radius=30.0)
+
+    def test_max_cycles_is_where_the_node_cap_binds(self):
+        assert kernel._auto_nodes(None, MAX_CYCLES) == NODE_CAP
+        with pytest.warns(AccuracyWarning, match="capping"):
+            kernel._auto_nodes(None, math.nextafter(MAX_CYCLES, math.inf))
 
     def test_explicit_nodes_accepted(self):
         pt = KernelPoint(0.5, 0.5)

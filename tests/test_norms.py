@@ -176,10 +176,10 @@ class TestDecayFit:
 
 
 def _fresh_transforms(monkeypatch, exponents):
-    """Defeat every reuse: a new catalog on every call, a new spectrum per
-    transform, a new noise mask per draw, new climb noise per trial, and
-    each ratio's norms computed afresh in one expression."""
-    build, noise, climb = norms.witness_catalog, norms._smooth_noise, norms._climb_noise
+    """Defeat the reuse that is left: a new catalog on every call, a new
+    spectrum per transform, and each ratio's norms computed afresh in one
+    expression."""
+    build = norms.witness_catalog
     ep = ExponentPair(*exponents)
 
     def fresh_ratio(op, f, g, p, den):
@@ -190,22 +190,12 @@ def _fresh_transforms(monkeypatch, exponents):
         norms._catalogs.clear()
         return build(*args, **kwargs)
 
-    def fresh_noise(grid, rng, radius):
-        norms._last_mask[:] = [None, None, 0]
-        return noise(grid, rng, radius)
-
-    def fresh_climb_noise(grid, rng):
-        norms._last_noise[:] = [None, {}]
-        return climb(grid, rng)
-
     def fresh_forward(f):
         return SampledField(f.grid, np.fft.fftn(f.values) * f.grid.cell_volume)
 
     monkeypatch.setattr(norms, "witness_catalog", fresh_catalog)
     monkeypatch.setattr(operators, "dft_forward", fresh_forward)
     monkeypatch.setattr(norms, "_ratio", fresh_ratio)
-    monkeypatch.setattr(norms, "_smooth_noise", fresh_noise)
-    monkeypatch.setattr(norms, "_climb_noise", fresh_climb_noise)
 
 
 def _assert_same_estimates(a, b):
@@ -228,7 +218,6 @@ class TestTransformMemos:
 
     def test_decay_fit_matches_fresh_transforms(self, monkeypatch):
         norms._catalogs.clear()
-        norms._last_noise[:] = [None, {}]
         cold, warm = self._fit(), self._fit()
         with monkeypatch.context() as patch:
             _fresh_transforms(patch, (1, 1))
@@ -238,40 +227,19 @@ class TestTransformMemos:
             _assert_same_estimates(fit.estimates, fresh.estimates)
 
     def test_climb_noise_drawn_once_per_fit(self, monkeypatch):
-        # the levels of a fit share each trial's climb noise, and a second
-        # fit on the same grid and seed draws none
+        # the levels of a fit share each trial's climb noise; a second fit
+        # draws its own, since nothing outlives a search
         draws, noise = [], norms._smooth_noise
 
-        def counted(grid, rng, radius):
-            draws.append(radius)
-            return noise(grid, rng, radius)
+        def counted(grid, rng, mask):
+            draws.append(grid)
+            return noise(grid, rng, mask)
 
-        norms._last_noise[:] = [None, {}]
+        norms._catalogs.clear()
         monkeypatch.setattr(norms, "_smooth_noise", counted)
-        for _ in range(2):
+        for fits in (1, 2):
             decay_fit(tj_family(2.0), (1, 1), self.GRID, range(4), 2, seed=21)
-        assert draws.count(norms._PERTURB_BAND) == 2 * norms.CLIMB_STEPS
-
-    def test_climb_noise_past_the_budget_is_drawn_afresh(self, monkeypatch):
-        # room for one trial's noise: the second trial draws its own at every
-        # level, and a fit on another grid drops what the first grid kept
-        draws, noise = [], norms._smooth_noise
-
-        def counted(grid, rng, radius):
-            draws.append(radius)
-            return noise(grid, rng, radius)
-
-        norms._last_noise[:] = [None, {}]
-        monkeypatch.setattr(norms, "_smooth_noise", counted)
-        field_bytes = 16 * self.GRID.N
-        monkeypatch.setattr(norms, "_NOISE_BUDGET_BYTES", norms.CLIMB_STEPS * field_bytes)
-        for _ in range(2):
-            decay_fit(tj_family(2.0), (1, 1), self.GRID, range(4), 2, seed=21)
-        assert draws.count(norms._PERTURB_BAND) == (1 + 2 * 4) * norms.CLIMB_STEPS
-        assert len(norms._last_noise[1]) == 1
-        other = Grid(1, 128, 32.0)
-        decay_fit(tj_family(2.0), (1, 1), other, range(4), 1, seed=21)
-        assert norms._last_noise[0] == other and len(norms._last_noise[1]) == 1
+            assert len(draws) == fits * 2 * norms.CLIMB_STEPS
 
     # at (2, inf) the climb's witnesses have inexact norms, so this case
     # also sees a denominator computed in another order
@@ -280,12 +248,26 @@ class TestTransformMemos:
         grid = Grid(2, 16, 8.0)
         op = tj_family(2.0)(1)
         norms._catalogs.clear()
-        norms._last_noise[:] = [None, {}]
         memo = [estimate_bilinear_norm(op, exponents, grid, 2, seed=6) for _ in range(2)]
         _fresh_transforms(monkeypatch, exponents)
         fresh = estimate_bilinear_norm(op, exponents, grid, 2, seed=6)
         assert memo[0].witness_id_g.startswith(("const", "unimodular"))
         _assert_same_estimates(memo, [fresh, fresh])
+
+    # at (1, 1) every level's sweep and climbs settle on the point mass; at
+    # (4/3, 2) the levels' start pairs and accepted climbs differ
+    @pytest.mark.parametrize(
+        "exponents,grid",
+        [((1, 1), GRID), ((2, math.inf), Grid(2, 16, 8.0)), (("4/3", 2), Grid(1, 64, 8.0))],
+        ids=["1-1", "2-inf", "4/3-2"],
+    )
+    def test_operator_sequence_matches_one_call_per_operator(self, exponents, grid):
+        ops = [tj_family(2.0)(j) for j in range(4)]
+        together = estimate_bilinear_norm(ops, exponents, grid, 3, seed=8)
+        assert isinstance(together, tuple)
+        alone = [estimate_bilinear_norm(op, exponents, grid, 3, seed=8) for op in ops]
+        assert all(isinstance(est, NormEstimate) for est in alone)
+        _assert_same_estimates(together, alone)
 
     def test_one_forward_transform_per_field(self, monkeypatch):
         norms._catalogs.clear()
@@ -309,32 +291,6 @@ class TestTransformMemos:
         decay_fit(family, ExponentPair(1, 1), self.GRID, range(9), 2, seed=20)
         assert len(transformed) == len({id(a) for a in transformed})
         assert len(transformed) < applies[0]  # two per apply without the memos
-
-    def test_noise_mask_is_kept_per_grid_and_radius(self, monkeypatch):
-        grid, other = Grid(1, 64, 8.0), Grid(1, 64, 16.0)
-        calls = [(grid, 1.5), (grid, 1.5), (grid, 1.0), (other, 1.0), (grid, 1.5)]
-        norms._last_mask[:] = [None, None, 0]
-        rng = np.random.default_rng(4)
-        kept = [norms._smooth_noise(g, rng, r).values.tobytes() for g, r in calls]
-        radii_calls = []
-        freq_radii = Grid.freq_radii
-
-        def counted(self):
-            radii_calls.append(self)
-            return freq_radii(self)
-
-        monkeypatch.setattr(Grid, "freq_radii", counted)
-        rng = np.random.default_rng(4)
-        fresh = []
-        for g, r in calls:
-            norms._last_mask[:] = [None, None, 0]
-            fresh.append(norms._smooth_noise(g, rng, r).values.tobytes())
-        assert kept == fresh
-        radii_calls.clear()
-        norms._last_mask[:] = [None, None, 0]
-        rng = np.random.default_rng(4)
-        assert [norms._smooth_noise(g, rng, r).values.tobytes() for g, r in calls] == kept
-        assert radii_calls == [grid, grid, other, grid]
 
     def test_catalog_memo_is_bounded_and_returns_fresh_lists(self):
         norms._catalogs.clear()
