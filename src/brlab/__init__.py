@@ -15,7 +15,6 @@ from .bessel import bessel_j, bessel_j_oracle, sphere_ft
 from .decomposition import (
     BumpFunction,
     DyadicPiece,
-    GammaTable,
     br_apply_separable,
     gamma_decay_check,
     make_bump,
@@ -66,7 +65,6 @@ __all__ = [
     "sphere_ft",
     "BumpFunction",
     "DyadicPiece",
-    "GammaTable",
     "br_apply_separable",
     "gamma_decay_check",
     "make_bump",

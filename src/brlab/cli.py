@@ -8,6 +8,12 @@ byte-deterministic for a fixed configuration and seed.  All failures print
 a single-line JSON error record to stderr and exit nonzero: 2 validation,
 3 budget, 4 I/O; a run that fails before writing anything removes every
 directory it created.
+
+argparse is the one place a flag is read: every given flag is converted and
+checked as it is parsed, whichever mode reads it, and its refusal is keyed
+by that flag.  A refusal raised inside the library is keyed by the first
+parsed flag its message prints as ``got <name>=``, else by ``config``; the
+key ``argv`` is left for unknown flags and commands.
 """
 
 from __future__ import annotations
@@ -64,25 +70,8 @@ OUTPUT_ROOT_ENV = "BRLAB_OUTPUT_ROOT"
 
 _RATIONAL_RE = re.compile(r"^\d+(/\d+)?$")
 _GOT_NAME_RE = re.compile(r"\bgot (\w+)=")
-
-#: parameter names recognized when mapping module errors back to CLI keys
-_KNOWN_KEYS = (
-    "alpha",
-    "delta",
-    "resolution",
-    "p1",
-    "p2",
-    "trials",
-    "radius",
-    "width",
-    "band",
-    "rho",
-    "nodes",
-    "seed",
-    "j_range",
-    "k_max",
-    "dimension",
-)
+#: the flag an argparse refusal names
+_FLAG_RE = re.compile(r"^argument (-[\w-]+):|required: (-[\w-]+)")
 
 
 class CliError(Exception):
@@ -95,8 +84,11 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse must not print usage and exit; errors become JSON records
+    # keyed by the flag they name
     def error(self, message):
-        raise CliError("argv", message)
+        match = _FLAG_RE.search(message)
+        action = match and self._option_string_actions.get(match.group(1) or match.group(2))
+        raise CliError(action.dest if action else "argv", message)
 
 
 def _emit_error(kind: str, key: str, message: str) -> None:
@@ -104,47 +96,90 @@ def _emit_error(kind: str, key: str, message: str) -> None:
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
-def _rational(text: str, key: str) -> str:
-    """Exponent argument: an 'a/b' string or 'inf'; floats are rejected."""
-    if text is None:
-        raise CliError(key, f"{key} is required")
+def _fraction(text: str) -> Fraction | float:
+    """An exact 'a/b' string as a Fraction, or 'inf' as math.inf."""
     cleaned = text.strip().lower()
     if cleaned in ("inf", "infinity", "oo"):
-        return "inf"
-    if not _RATIONAL_RE.match(cleaned):
-        raise CliError(
-            key,
-            f"{key} must be a rational 'a/b' string or 'inf', got {text!r}"
-            " (floats are rejected for exponents)",
-        )
-    return cleaned
-
-
-def _number(text, key: str) -> float:
-    """Non-exponent numeric argument: rational string or finite decimal."""
-    if text is None:
-        raise CliError(key, f"{key} is required")
-    if isinstance(text, (int, float)):
-        value = float(text)
-    else:
+        return math.inf
+    if _RATIONAL_RE.match(cleaned):
         try:
-            value = float(Fraction(text.strip()))
-        except OverflowError:
-            value = math.inf
-        except (ValueError, ZeroDivisionError):
-            try:
-                value = float(text)
-            except ValueError:
-                raise CliError(key, f"{key} must be numeric, got {text!r}") from None
-    if not math.isfinite(value):
-        raise CliError(key, f"{key} must be finite, got {text!r}")
+            return Fraction(cleaned)
+        except ZeroDivisionError:
+            pass
+    raise argparse.ArgumentTypeError(
+        f"must be a rational 'a/b' with b > 0, or 'inf', got {text!r}"
+        " (floats are rejected)"
+    )
+
+
+def _exponent(text: str) -> Fraction | float:
+    """Lebesgue exponent flag: a rational in [1, inf]."""
+    value = _fraction(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must lie in [1, inf], got {text!r}")
     return value
 
 
-def _int_range(text: str, key: str) -> list[int]:
+def _orders(text: str) -> list[float]:
+    """Comma-separated Bessel orders, each a rational at most the validated maximum."""
+    orders = [_fraction(token) for token in text.split(",") if token.strip()]
+    if not orders:
+        raise argparse.ArgumentTypeError("must name at least one Bessel order")
+    for order in orders:
+        if order > MAX_VALIDATED_ORDER:
+            raise argparse.ArgumentTypeError(
+                f"Bessel order {order} > {MAX_VALIDATED_ORDER:g}, the validated maximum"
+            )
+    return [float(order) for order in orders]
+
+
+def _number(text: str) -> float:
+    """Non-exponent numeric flag: rational string or finite decimal."""
+    try:
+        value = float(Fraction(text.strip()))
+    except OverflowError:
+        value = math.inf
+    except (ValueError, ZeroDivisionError):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be numeric, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _number(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _numbers(text: str) -> list[float]:
+    values = [_number(token) for token in text.split(",") if token.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("must name at least one number")
+    return values
+
+
+def _at_least(low: int):
+    """Integer flag with a lower bound."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return convert
+
+
+def _int_range(text: str) -> list[int]:
     """Inclusive range of levels written as 'lo:hi', with 0 <= lo <= hi."""
-    if text is None:
-        raise CliError(key, f"{key} is required")
     parts = text.split(":")
     try:
         if len(parts) == 2:
@@ -152,29 +187,37 @@ def _int_range(text: str, key: str) -> list[int]:
         else:
             raise ValueError
     except ValueError:
-        raise CliError(key, f"{key} must look like 'lo:hi', got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must look like 'lo:hi', got {text!r}") from None
     if not 0 <= lo <= hi:
-        raise CliError(key, f"{key} must satisfy 0 <= lo <= hi, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must satisfy 0 <= lo <= hi, got {text!r}")
     return list(range(lo, hi + 1))
 
 
-def _require_seed(args) -> int:
-    if args.seed is None:
-        raise CliError("seed", "seed is required for randomized experiments")
-    return int(args.seed)
+def _paths(text: str) -> list[str]:
+    known = ("oracle", "radial", "kernel", "separable")
+    paths = [p.strip() for p in text.split(",") if p.strip()]
+    if not paths:
+        raise argparse.ArgumentTypeError("must name at least one evaluation path")
+    for name in paths:
+        if name not in known:
+            raise argparse.ArgumentTypeError(f"unknown path {name!r}; choose from {known}")
+    return paths
+
+
+def _required(args, key: str, why: str):
+    """The parsed value of a flag the chosen mode cannot run without."""
+    value = getattr(args, key)
+    if value is None:
+        raise CliError(key, f"{key} is required {why}")
+    return value
 
 
 def _classify_value_error(err: ValueError, flags) -> CliError:
     """Key of a library refusal: its first ``got <name>=`` that names one of
-    ``flags``, else the first known key in its message."""
+    ``flags``, else ``config``."""
     message = str(err)
-    for name in _GOT_NAME_RE.findall(message):
-        if name in flags:
-            return CliError(name, message)
-    for key in _KNOWN_KEYS:
-        if key in message:
-            return CliError(key, message)
-    return CliError("config", message)
+    key = next((name for name in _GOT_NAME_RE.findall(message) if name in flags), "config")
+    return CliError(key, message)
 
 
 def _make_run_dir(args) -> tuple[str, list[str]]:
@@ -205,26 +248,16 @@ def _rel_l2(a, b) -> float:
 
 
 def _grid_from_args(args) -> Grid:
-    return Grid(int(args.n), int(args.N), _number(args.L, "L"))
+    return Grid(args.n, args.N, args.L)
 
 
 def _cmd_evaluate(args, run_dir: str) -> dict:
-    alpha = _number(args.alpha, "alpha")
+    alpha = _required(args, "alpha", "to evaluate the means")
     grid = _grid_from_args(args)
-    known = ("oracle", "radial", "kernel", "separable")
-    paths = [p.strip() for p in args.paths.split(",") if p.strip()]
-    if not paths:
-        raise CliError("paths", "paths must name at least one evaluation path")
-    for name in paths:
-        if name not in known:
-            raise CliError("paths", f"unknown path {name!r}; choose from {known}")
+    paths = args.paths
     # refuse before any output is written
     if "kernel" in paths:
-        check_closed_form(alpha, int(args.n))
-    if args.K < 1:
-        raise CliError("K", f"K must be at least 1, got {args.K}")
-    if args.nodes is not None and args.nodes < 1:
-        raise CliError("nodes", f"nodes must be at least 1, got {args.nodes}")
+        check_closed_form(alpha, args.n)
     seed = args.run_seed
     spec = MultiplierSpec(alpha=alpha)
     bump = make_bump()
@@ -236,15 +269,15 @@ def _cmd_evaluate(args, run_dir: str) -> dict:
     outputs = {}
     for name in paths:
         if name == "oracle":
-            outputs[name] = br_apply_oracle(f, g, spec, budget=int(args.budget))
+            outputs[name] = br_apply_oracle(f, g, spec, budget=args.budget)
         elif name == "radial":
-            outputs[name] = br_apply_radial(f, g, spec, args.nodes, int(args.budget))
+            outputs[name] = br_apply_radial(f, g, spec, args.nodes, args.budget)
         elif name == "kernel":
-            outputs[name] = br_apply_kernel(f, g, spec, budget=int(args.budget))
+            outputs[name] = br_apply_kernel(f, g, spec, budget=args.budget)
         else:
-            piece = DyadicPiece(int(args.j), alpha)
-            outputs["separable"] = br_apply_separable(f, g, piece, int(args.K), bump)
-            outputs["tj_direct"] = t_j_apply(f, g, piece, bump, budget=int(args.budget))
+            piece = DyadicPiece(args.j, alpha)
+            outputs["separable"] = br_apply_separable(f, g, piece, args.K, bump)
+            outputs["tj_direct"] = t_j_apply(f, g, piece, bump, budget=args.budget)
     field_to_csv(f, os.path.join(run_dir, "input_f.csv"))
     field_to_csv(g, os.path.join(run_dir, "input_g.csv"))
     for name, out in outputs.items():
@@ -272,25 +305,19 @@ def _cmd_evaluate(args, run_dir: str) -> dict:
         "alpha": alpha,
         "paths": paths,
         "nodes": args.nodes,
-        "K": int(args.K),
-        "j": int(args.j),
-        "budget": int(args.budget),
+        "K": args.K,
+        "j": args.j,
+        "budget": args.budget,
         "seed": seed,
     }
 
 
 def _cmd_decay(args, run_dir: str) -> dict:
-    if args.mode not in ("tj", "gamma"):
-        raise CliError("mode", f"mode must be 'tj' or 'gamma', got {args.mode!r}")
-    alpha = _number(args.alpha, "alpha")
+    alpha = _required(args, "alpha", "for the decay experiments")
     bump = make_bump()
-    j_range = _int_range(args.j_range, "j_range")
+    j_range = args.j_range
     if args.mode == "gamma":
-        delta = _number(args.delta, "delta")
-        k_max = int(args.k_max)
-        if k_max < 0:
-            raise CliError("k_max", f"k_max must be nonnegative, got {k_max}")
-        report = gamma_decay_check(alpha, delta, j_range, range(k_max + 1), bump)
+        report = gamma_decay_check(alpha, args.delta, j_range, range(args.k_max + 1), bump)
         rows = (
             [j, k, report.sup_table[i, c], report.normalized[i, c]]
             for i, j in enumerate(report.levels)
@@ -306,23 +333,23 @@ def _cmd_decay(args, run_dir: str) -> dict:
         return {
             "mode": "gamma",
             "alpha": alpha,
-            "delta": delta,
+            "delta": args.delta,
             "j_range": j_range,
-            "k_max": k_max,
+            "k_max": args.k_max,
             "seed": args.run_seed,
         }
     if len(j_range) < 4:
         raise CliError("j_range", "decay fit needs at least 4 levels in j_range")
-    seed = _require_seed(args)
+    seed = _required(args, "seed", "for randomized experiments")
     grid = _grid_from_args(args)
-    exponents = ExponentPair(_rational(args.p1, "p1"), _rational(args.p2, "p2"))
-    budget = int(args.budget)
+    exponents = ExponentPair(args.p1, args.p2)
+    budget = args.budget
 
     def op_family(j: int):
         piece = DyadicPiece(int(j), alpha)
         return lambda u, v: t_j_apply(u, v, piece, bump, budget=budget)
 
-    fit = decay_fit(op_family, exponents, grid, j_range, int(args.trials), seed)
+    fit = decay_fit(op_family, exponents, grid, j_range, args.trials, seed)
     rows = (
         [j, est.value, est.witness_id_f, est.witness_id_g]
         for j, est in zip(fit.js, fit.estimates)
@@ -342,34 +369,28 @@ def _cmd_decay(args, run_dir: str) -> dict:
         "p1": str(exponents.p1),
         "p2": str(exponents.p2),
         "j_range": j_range,
-        "trials": int(args.trials),
+        "trials": args.trials,
         "budget": budget,
         "seed": seed,
     }
 
 
 def _cmd_regions(args, run_dir: str) -> dict:
-    n = int(args.n)
+    n = args.n
     config = {"n": n, "seed": args.run_seed}
     if args.p1 is not None or args.p2 is not None:
-        # probe each provided exponent alone so a domain error names it
-        # even when the other flag is missing
-        if args.p1 is not None:
-            ExponentPair(_rational(args.p1, "p1"), 1)
-        if args.p2 is not None:
-            ExponentPair(1, _rational(args.p2, "p2"))
-        pair = ExponentPair(_rational(args.p1, "p1"), _rational(args.p2, "p2"))
+        why = "for a single-point query"
+        pair = ExponentPair(_required(args, "p1", why), _required(args, "p2", why))
         result = smoothness_index(pair, n)
         print(f"{result.region}, threshold {result.chosen_form} = {result.threshold}")
         write_rows(os.path.join(run_dir, "query.csv"), MAP_HEADER, [result.map_row()])
         config.update({"mode": "query", "p1": str(pair.p1), "p2": str(pair.p2)})
         return config
-    resolution = int(args.resolution)
     csv_path = os.path.join(run_dir, "map.csv")
     svg_path = os.path.join(run_dir, "map.svg")
-    region_grid_export(n, resolution, csv_path, svg_path)
+    region_grid_export(n, args.resolution, csv_path, svg_path)
     print(f"region map written: {csv_path} and {svg_path}")
-    config.update({"mode": "export", "resolution": resolution})
+    config.update({"mode": "export", "resolution": args.resolution})
     return config
 
 
@@ -392,11 +413,7 @@ def _refuse_past_node_cap(cycles: float, key: str) -> None:
 
 
 def _cmd_kernel(args, run_dir: str) -> dict:
-    if args.check not in ("sweep", "dilation", "envelope"):
-        raise CliError(
-            "check", f"check must be sweep, dilation, or envelope, got {args.check!r}"
-        )
-    n = int(args.n)
+    n = args.n
     # the piece kernels need J_{n-1}, the closed form J_{n+alpha} with alpha >= 0
     order = n - 1 if args.check == "envelope" else n
     if order > MAX_VALIDATED_ORDER:
@@ -405,15 +422,10 @@ def _cmd_kernel(args, run_dir: str) -> dict:
             f"the {args.check} check in dimension n={n} needs Bessel order at least"
             f" {order}, above {MAX_VALIDATED_ORDER:g}, the validated maximum",
         )
-    alpha = _number(args.alpha, "alpha")
+    alpha = args.alpha
     config = {"check": args.check, "n": n, "alpha": alpha, "seed": args.run_seed}
     if args.check in ("sweep", "dilation"):
-        points = int(args.points)
-        rho_max = _number(args.rho_max, "rho_max")
-        if points < 1:
-            raise CliError("points", f"sweep needs at least one point, got {points}")
-        if rho_max <= 0:
-            raise CliError("rho_max", f"sweep range is empty, got rho_max={rho_max}")
+        points, rho_max = args.points, args.rho_max
         rhos = [rho_max * (i + 1) / points for i in range(points)]
         top = _kernel_points(rhos[-1:], n)[0].rho
         if not math.isfinite(top):
@@ -431,11 +443,7 @@ def _cmd_kernel(args, run_dir: str) -> dict:
         print(f"kernel sweep: max closed-vs-quadrature discrepancy {worst:.6e}")
         return config
     if args.check == "dilation":
-        if args.R is None:
-            raise CliError("R", "R is required for the dilation check")
-        R = _number(args.R, "R")
-        if not R > 0:
-            raise CliError("R", f"R must be positive, got {R:g}")
+        R = _required(args, "R", "for the dilation check")
         if not 2 * n * math.log(R * max(rhos[-1], 1.0)) < math.log(sys.float_info.max):
             raise CliError("R", f"R={R:g} overflows the dilated kernel")
         _refuse_past_node_cap(R * top, "R")
@@ -444,10 +452,7 @@ def _cmd_kernel(args, run_dir: str) -> dict:
         print(f"dilation check R={R:g}: max residual {max(row[1] for row in rows):.6e}")
         config.update({"R": R})
         return config
-    j_range = _int_range(args.j_range, "j_range")
-    M = _number(args.M, "M")
-    if not M > 0:
-        raise CliError("M", f"M must be positive, got {M:g}")
+    j_range, M = args.j_range, args.M
     radii = [0.0, 0.7, 2.1, 3.5, 7.0, 14.0, 28.0]
     points = [
         KernelPoint((a,) + (0.0,) * (n - 1), (b,) + (0.0,) * (n - 1))
@@ -476,24 +481,11 @@ def _cmd_kernel(args, run_dir: str) -> dict:
 
 
 def _cmd_norms(args, run_dir: str) -> dict:
-    if args.experiment not in ("lemma1", "corollary"):
-        raise CliError(
-            "experiment",
-            f"experiment must be 'lemma1' or 'corollary', got {args.experiment!r}",
-        )
-    seed = _require_seed(args)
+    seed = _required(args, "seed", "for randomized experiments")
     grid = _grid_from_args(args)
     if args.experiment == "lemma1":
-        if args.p is None:
-            raise CliError("p", "p is required for the scaling experiment")
-        p = Fraction(_rational(args.p, "p"))
-        b = _number(args.b, "b")
-        widths = [
-            _number(w, "widths") for w in args.widths.split(",") if w.strip()
-        ]
-        if not widths:
-            raise CliError("widths", "widths must name at least one band width")
-        report = lemma1_scaling_experiment(p, b, widths, grid, seed)
+        p = _required(args, "p", "for the scaling experiment")
+        report = lemma1_scaling_experiment(p, args.b, args.widths, grid, seed)
         rows = zip(report.widths, report.estimates, report.witness_ids)
         write_rows(os.path.join(run_dir, "scaling.csv"), ["w", "estimate", "witness"], rows)
         fitted = (
@@ -506,15 +498,15 @@ def _cmd_norms(args, run_dir: str) -> dict:
         return {
             "experiment": "lemma1",
             "p": str(p),
-            "b": b,
-            "widths": widths,
+            "b": args.b,
+            "widths": args.widths,
             "n": grid.n,
             "N": grid.N,
             "L": grid.L,
             "seed": seed,
         }
-    alpha = _number(args.alpha, "alpha")
-    estimate = corollary_experiment(alpha, grid, int(args.trials), seed)
+    alpha = _required(args, "alpha", "for the corollary experiment")
+    estimate = corollary_experiment(alpha, grid, args.trials, seed)
     # the witnesses are saved beside the estimate, so its ratio can be recomputed
     witness_f, witness_g = "estimate.witness_f.csv", "estimate.witness_g.csv"
     field_to_csv(estimate.witness_f, os.path.join(run_dir, witness_f))
@@ -537,7 +529,7 @@ def _cmd_norms(args, run_dir: str) -> dict:
     return {
         "experiment": "corollary",
         "alpha": alpha,
-        "trials": int(args.trials),
+        "trials": args.trials,
         "n": grid.n,
         "N": grid.N,
         "L": grid.L,
@@ -546,31 +538,12 @@ def _cmd_norms(args, run_dir: str) -> dict:
 
 
 def _cmd_bessel_check(args, run_dir: str) -> dict:
-    orders = []
-    for token in args.orders.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        order = _rational(token, "orders")
-        if order == "inf" or Fraction(order) > MAX_VALIDATED_ORDER:
-            raise CliError(
-                "orders",
-                f"orders: Bessel order {order} > {MAX_VALIDATED_ORDER:g},"
-                " the validated maximum",
-            )
-        orders.append(float(Fraction(order)))
-    if not orders:
-        raise CliError("orders", "orders must name at least one Bessel order")
-    points = int(args.points)
-    r_min = _number(args.r_min, "r_min")
-    r_max = _number(args.r_max, "r_max")
-    if points < 1:
-        raise CliError("points", f"need at least one radius, got {points}")
+    r_min, r_max = args.r_min, args.r_max
     if not 0 < r_min < r_max:
         raise CliError("r_min", f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
-    radii = np.geomspace(r_min, r_max, points)
+    radii = np.geomspace(r_min, r_max, args.points)
     rows = []
-    for k in orders:
+    for k in args.orders:
         series = bessel_j(k, radii)
         oracle = bessel_j_oracle(k, radii)
         for r, a, b in zip(radii, np.atleast_1d(series), np.atleast_1d(oracle)):
@@ -579,8 +552,8 @@ def _cmd_bessel_check(args, run_dir: str) -> dict:
     write_rows(os.path.join(run_dir, "bessel.csv"), header, rows)
     print(f"bessel dual-route check: max |difference| {max(row[4] for row in rows):.3e}")
     return {
-        "orders": orders,
-        "points": points,
+        "orders": args.orders,
+        "points": args.points,
         "r_min": r_min,
         "r_max": r_max,
         "seed": args.run_seed,
@@ -588,8 +561,10 @@ def _cmd_bessel_check(args, run_dir: str) -> dict:
 
 
 def _build_parser() -> _Parser:
+    # argparse applies ``type`` to string defaults, so converted flags keep them
     parser = _Parser(prog="brlab", description=__doc__)
     sub = parser.add_subparsers(dest="command")
+    count = _at_least(1)
 
     def common(p):
         p.add_argument("--outdir", default=None)
@@ -599,26 +574,26 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--N", type=int, default=256)
-    p.add_argument("--L", default="16")
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--paths", default="oracle,radial")
-    p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--K", type=int, default=256)
+    p.add_argument("--L", type=_number, default="16")
+    p.add_argument("--alpha", type=_number, default=None)
+    p.add_argument("--paths", type=_paths, default="oracle,radial")
+    p.add_argument("--nodes", type=count, default=None)
+    p.add_argument("--K", type=count, default=256)
     p.add_argument("--j", type=int, default=2)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("decay", help="piece-norm decay or coefficient decay")
     common(p)
-    p.add_argument("--mode", default="tj")
+    p.add_argument("--mode", choices=("tj", "gamma"), default="tj")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--N", type=int, default=256)
-    p.add_argument("--L", default="32")
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--delta", default="0.5")
-    p.add_argument("--p1", default="1")
-    p.add_argument("--p2", default="1")
-    p.add_argument("--j-range", dest="j_range", default="0:8")
-    p.add_argument("--k-max", dest="k_max", type=int, default=64)
+    p.add_argument("--L", type=_number, default="32")
+    p.add_argument("--alpha", type=_number, default=None)
+    p.add_argument("--delta", type=_number, default="0.5")
+    p.add_argument("--p1", type=_exponent, default="1")
+    p.add_argument("--p2", type=_exponent, default="1")
+    p.add_argument("--j-range", dest="j_range", type=_int_range, default="0:8")
+    p.add_argument("--k-max", dest="k_max", type=_at_least(0), default=64)
     p.add_argument("--trials", type=int, default=2)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
@@ -626,38 +601,38 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--p1", default=None)
-    p.add_argument("--p2", default=None)
+    p.add_argument("--p1", type=_exponent, default=None)
+    p.add_argument("--p2", type=_exponent, default=None)
 
     p = sub.add_parser("kernel", help="kernel sweeps and identities")
     common(p)
-    p.add_argument("--check", default="sweep")
+    p.add_argument("--check", choices=("sweep", "dilation", "envelope"), default="sweep")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--alpha", default="2")
-    p.add_argument("--rho-max", dest="rho_max", default="50")
-    p.add_argument("--points", type=int, default=20)
-    p.add_argument("--R", default=None)
-    p.add_argument("--M", default="2")
-    p.add_argument("--j-range", dest="j_range", default="0:6")
+    p.add_argument("--alpha", type=_number, default="2")
+    p.add_argument("--rho-max", dest="rho_max", type=_positive, default="50")
+    p.add_argument("--points", type=count, default=20)
+    p.add_argument("--R", type=_positive, default=None)
+    p.add_argument("--M", type=_positive, default="2")
+    p.add_argument("--j-range", dest="j_range", type=_int_range, default="0:6")
 
     p = sub.add_parser("norms", help="norm lower-bound experiments")
     common(p)
-    p.add_argument("--experiment", default="lemma1")
-    p.add_argument("--p", default=None)
-    p.add_argument("--b", default="8")
-    p.add_argument("--widths", default="1/2,1,2,4")
-    p.add_argument("--alpha", default=None)
+    p.add_argument("--experiment", choices=("lemma1", "corollary"), default="lemma1")
+    p.add_argument("--p", type=_exponent, default=None)
+    p.add_argument("--b", type=_number, default="8")
+    p.add_argument("--widths", type=_numbers, default="1/2,1,2,4")
+    p.add_argument("--alpha", type=_number, default=None)
     p.add_argument("--trials", type=int, default=2)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--N", type=int, default=256)
-    p.add_argument("--L", default="8")
+    p.add_argument("--L", type=_number, default="8")
 
     p = sub.add_parser("bessel-check", help="dual-route Bessel comparison")
     common(p)
-    p.add_argument("--orders", default="0,1/2,1,3/2,2,5/2")
-    p.add_argument("--points", type=int, default=40)
-    p.add_argument("--r-min", dest="r_min", default="0.01")
-    p.add_argument("--r-max", dest="r_max", default="200")
+    p.add_argument("--orders", type=_orders, default="0,1/2,1,3/2,2,5/2")
+    p.add_argument("--points", type=count, default=40)
+    p.add_argument("--r-min", dest="r_min", type=_number, default="0.01")
+    p.add_argument("--r-max", dest="r_max", type=_number, default="200")
 
     return parser
 

@@ -79,7 +79,7 @@ class DyadicPiece:
         if int(self.j) != self.j or self.j < 0:
             raise ValueError(f"level must be an integer >= 0, got j={self.j}")
         if not self.alpha > 0:
-            raise ValueError(f"smoothness must satisfy alpha > 0, got {self.alpha}")
+            raise ValueError(f"smoothness must satisfy alpha > 0, got alpha={self.alpha}")
 
     def multiplier(self, u, bump: BumpFunction) -> np.ndarray:
         """Slice multiplier m_j(u) = u_+^alpha bump(2^j u) on an array of u.
@@ -157,10 +157,12 @@ def _coeff_table(piece: DyadicPiece, bump: BumpFunction, s_values, k_max: int) -
     integrand is computed on m <= COEFF_GRID/2 and mirrored onto the rest,
     in blocks of ``_COEFF_ROWS`` s-values with one rfft each.
     """
-    if k_max > COEFF_GRID // 2:
-        raise ValueError(f"k_max={k_max} exceeds the coefficient grid's range")
-    s_abs = np.abs(np.atleast_1d(np.asarray(s_values, dtype=float)))
     half = COEFF_GRID // 2
+    if k_max > half:
+        raise ValueError(
+            f"k_max must be at most {half}, the coefficient grid's range, got k_max={k_max}"
+        )
+    s_abs = np.abs(np.atleast_1d(np.asarray(s_values, dtype=float)))
     t_abs = np.abs(-1.0 + 2.0 * np.arange(half + 1) / COEFF_GRID)
     integrand = np.empty((min(_COEFF_ROWS, s_abs.size), COEFF_GRID))
     spectrum = np.empty((s_abs.size, k_max + 1))
@@ -172,47 +174,6 @@ def _coeff_table(piece: DyadicPiece, bump: BumpFunction, s_values, k_max: int) -
         spectrum[start : start + rows.size] = np.fft.rfft(block, axis=1)[:, : k_max + 1].real
     signs = (-1.0) ** np.arange(k_max + 1)
     return spectrum * signs[None, :] / COEFF_GRID
-
-
-@dataclass(frozen=True)
-class GammaTable:
-    """Tabulated slice coefficients over a grid of radial values s.
-
-    ``values[i, k]`` is gamma_{j,k}(s_values[i]) for k >= 0: the Fourier
-    coefficient (period 2) of the slice multiplier in t at that s.  It is
-    real and even in both k and s, so negative k mirror by evenness.
-    :meth:`build` refuses any |s| > 1.
-    """
-
-    j: int
-    alpha: float
-    k_max: int
-    s_values: tuple[float, ...]
-    values: np.ndarray
-
-    @classmethod
-    def build(
-        cls, piece: DyadicPiece, bump: BumpFunction, k_max: int, s_values=None
-    ) -> "GammaTable":
-        if s_values is None:
-            s_values = np.linspace(0.0, 1.0, 257)
-        s_abs = np.abs(np.asarray(s_values, dtype=float))
-        if np.any(s_abs > 1.0):
-            raise ValueError(
-                f"radial variable must satisfy |s| <= 1, got |s| = {np.max(s_abs)}"
-            )
-        table = _coeff_table(piece, bump, s_values, k_max)
-        table.flags.writeable = False
-        return cls(
-            j=piece.j,
-            alpha=piece.alpha,
-            k_max=int(k_max),
-            s_values=tuple(float(s) for s in np.atleast_1d(s_values)),
-            values=table,
-        )
-
-    def sup_over_s(self, k: int) -> float:
-        return float(np.max(np.abs(self.values[:, abs(int(k))])))
 
 
 @dataclass(frozen=True)
@@ -261,10 +222,11 @@ def gamma_decay_check(
     if any(j < 0 for j in levels):
         raise ValueError("levels must be nonnegative")
     k_max = max(k_values)
+    s_grid = np.linspace(0.0, 1.0, 257)
     sup_rows = []
     for j in levels:
-        table = GammaTable.build(DyadicPiece(j, alpha), bump, k_max)
-        sup_rows.append([table.sup_over_s(k) for k in k_values])
+        table = _coeff_table(DyadicPiece(j, alpha), bump, s_grid, k_max)
+        sup_rows.append(np.max(np.abs(table), axis=0)[k_values])
     sup_table = np.asarray(sup_rows)
     sup_table.flags.writeable = False
     k_arr = np.asarray(k_values, dtype=float)

@@ -94,13 +94,13 @@ def check_closed_form(alpha: float, n: int) -> None:
     validated Bessel order; the message names alpha.
     """
     if alpha < 0:
-        raise ValueError(f"smoothness index must satisfy alpha >= 0, got {alpha}")
+        raise ValueError(f"smoothness index must satisfy alpha >= 0, got alpha={alpha}")
     if n < 1:
         raise ValueError(f"dimension must satisfy n >= 1, got n={n}")
     if n + alpha > MAX_VALIDATED_ORDER:
         raise ValueError(
-            f"alpha={alpha:g} in dimension n={n} needs Bessel order {n + alpha:g}"
-            f" > {MAX_VALIDATED_ORDER:g}, the validated maximum"
+            f"in dimension n={n} the closed form needs Bessel order {n + alpha:g}"
+            f" > {MAX_VALIDATED_ORDER:g}, the validated maximum, got alpha={alpha:g}"
         )
 
 
@@ -180,7 +180,7 @@ def kernel_quadrature(
     second one only when |x2| differs; either serves the sin slot reversed.
     """
     if alpha < 0:
-        raise ValueError(f"smoothness index must satisfy alpha >= 0, got {alpha}")
+        raise ValueError(f"smoothness index must satisfy alpha >= 0, got alpha={alpha}")
     if len(pt.x1) != n:
         raise ValueError(f"point has dimension {len(pt.x1)}, expected n={n}")
     if not radius > 0:

@@ -352,21 +352,23 @@ def lemma1_scaling_experiment(
     if not width_list:
         raise ValueError("need at least one width")
     if any(not 0 < w <= b for w in width_list):
-        raise ValueError(f"widths must lie in (0, b], got {width_list!r}")
+        raise ValueError(f"widths must lie in (0, b], got widths={width_list!r}")
+    try:  # each band [b - w, b] must meet the frequency lattice
+        inside = [
+            make_test_field("band_limited_random", {"band": (b - w, b)}, grid, seed=int(seed) + 17)
+            for w in width_list
+        ]
+    except ValueError as err:
+        raise ValueError(f"{err}, got widths={width_list!r}") from None
     catalog = witness_catalog(grid, False, seed, modulation_radius=b)
     estimates, ids = [], []
-    for w in width_list:
+    for w, band_inside in zip(width_list, inside):
         band = BandSpec(b - w, b, 1.0)
         # in-band witnesses reach the extremizers: spectrum inside the band
         # makes the p = 2 ratio exactly one, and the coherent packet is the
         # concentrated near-extremizer at small p
         per_width = catalog + [
-            (
-                "band_inside",
-                make_test_field(
-                    "band_limited_random", {"band": (b - w, b)}, grid, seed=int(seed) + 17
-                ),
-            ),
+            ("band_inside", band_inside),
             ("packet_inside", _annulus_packet(grid, b - w, b)),
         ]
         best_value, best_id = 0.0, per_width[0][0]
@@ -402,7 +404,7 @@ def lemma1_scaling_experiment(
 def corollary_experiment(alpha: float, grid: Grid, trials: int, seed: int) -> NormEstimate:
     """Lower-bound the L^1 x L^inf -> L^1 norm of the bilinear means."""
     if not alpha > 0:
-        raise ValueError(f"smoothness must satisfy alpha > 0, got {alpha}")
+        raise ValueError(f"smoothness must satisfy alpha > 0, got alpha={alpha}")
     spec = MultiplierSpec(alpha=float(alpha))
 
     def op(f, g):

@@ -49,7 +49,7 @@ class MultiplierSpec:
 
     def __post_init__(self):
         if self.alpha < 0:
-            raise ValueError(f"smoothness index must satisfy alpha >= 0, got {self.alpha}")
+            raise ValueError(f"smoothness index must satisfy alpha >= 0, got alpha={self.alpha}")
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
 

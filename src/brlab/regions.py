@@ -183,7 +183,7 @@ def region_grid_export(n: int, resolution: int, csv_path, svg_path) -> None:
     a row, so every row equals ``smoothness_index(...).map_row()``.
     """
     if resolution < 16:
-        raise ValueError(f"resolution must be at least 16, got {resolution}")
+        raise ValueError(f"resolution must be at least 16, got resolution={resolution}")
     n = _dimension(n)
     D = 2 * resolution
     coords = [Fraction(i, resolution) for i in range(resolution + 1)]

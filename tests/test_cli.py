@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from brlab.bessel import AccuracyWarning
+from brlab import cli
 from brlab.cli import _build_parser, main
 from brlab.decomposition import DyadicPiece, gamma_decay_check, make_bump, t_j_apply
 from brlab.grid import ExponentPair, Grid, field_from_csv
@@ -36,42 +37,19 @@ def load_rows(path):
         return list(csv.reader(handle))
 
 
-#: flags whose value is a word, not a number
-_WORD_FLAGS = {"outdir", "mode", "check", "experiment", "paths"}
-#: argv under which each command reads every flag of its default mode
-_COMMAND_ARGV = {
-    "evaluate": ["--alpha", "2"],
-    "decay": ["--alpha", "2", "--seed", "1"],
-    "regions": ["--p1", "1", "--p2", "1"],
-    "kernel": [],
-    "norms": ["--p", "1", "--seed", "1"],
-    "bessel-check": [],
-}
-#: argv of the mode that reads a flag its command's default mode leaves unread
-_MODE_ARGV = {
-    ("decay", "delta"): ["--mode", "gamma", "--alpha", "2"],
-    ("kernel", "R"): ["--check", "dilation", "--R", "2"],
-    ("kernel", "M"): ["--check", "envelope"],
-    ("kernel", "j_range"): ["--check", "envelope"],
-    ("norms", "alpha"): ["--experiment", "corollary", "--seed", "1"],
-}
-
-
 def _number_flag_cases():
-    """(argv, key) feeding every flag the CLI parses itself, on every
-    command, a number it cannot use; argparse refuses the int flags."""
+    """(argv, key) feeding every flag of every command but --outdir a value
+    none of them can use; each is refused as it is parsed, whichever mode
+    reads it."""
     parser = _build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     cases = []
     for command, sub in commands.choices.items():
         for action in sub._actions:
-            if not isinstance(action, argparse._StoreAction) or action.type is not None:
+            if not isinstance(action, argparse._StoreAction) or action.dest == "outdir":
                 continue
-            if action.dest in _WORD_FLAGS:
-                continue
-            base = _MODE_ARGV.get((command, action.dest), _COMMAND_ARGV[command])
-            for value in ("1e400", "nan", "-inf"):
-                argv = [command, *base, f"{action.option_strings[0]}={value}"]
+            for value in ("1e400", "nan", "-inf", "1/0"):
+                argv = [command, f"{action.option_strings[0]}={value}"]
                 cases.append(pytest.param(argv, action.dest, id=f"{command}-{action.dest}-{value}"))
     return cases
 
@@ -254,16 +232,56 @@ class TestValidation:
     @pytest.mark.parametrize(
         "argv,key",
         [
+            (["decay", "--alpha", "2", "--seed", "1", "--p1"], "p1"),
+            (["decay", "--alpha", "2", "--seed", "1", "--p2"], "p2"),
+            (["regions", "--p2", "1", "--p1"], "p1"),
+            (["regions", "--p1", "1", "--p2"], "p2"),
+            (["norms", "--experiment", "lemma1", "--seed", "1", "--p"], "p"),
+            (["bessel-check", "--orders"], "orders"),
+        ],
+        ids=["decay-p1", "decay-p2", "regions-p1", "regions-p2", "norms-p", "orders"],
+    )
+    @pytest.mark.parametrize("value", ["1/0", "3/00"])
+    def test_zero_denominator_names_its_flag(self, argv, key, value, tmp_path, capsys):
+        # each used to crash with ZeroDivisionError (exit 1)
+        rc, _ = run_cli([*argv, value], tmp_path)
+        assert rc == 2
+        assert read_error(capsys)["key"] == key
+        assert os.listdir(tmp_path) == []
+
+    def test_parser_names_a_missing_required_flag(self):
+        parser = cli._Parser(prog="brlab")
+        parser.add_argument("--p-one", dest="p1", required=True)
+        with pytest.raises(cli.CliError) as caught:
+            parser.parse_args([])
+        assert caught.value.key == "p1"
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
             (["decay", "--mode", "gamma", "--alpha", "2", "--delta", "3"], "delta"),
+            (["decay", "--mode", "gamma", "--alpha", "2", "--k-max", "3000"], "k_max"),
             (["norms", "--experiment", "lemma1", "--p", "1", "--b", "100", "--seed", "1"], "b"),
+            (["norms", "--experiment", "lemma1", "--p", "1", "--widths", "9", "--seed", "1"],
+             "widths"),
+            (["norms", "--experiment", "lemma1", "--p", "1", "--widths", "0", "--seed", "1"],
+             "widths"),
+            # the annulus [8.04, 8.05] holds no lattice frequency at L = 8
+            (["norms", "--experiment", "lemma1", "--p", "1", "--b", "8.05", "--widths", "0.01",
+              "--seed", "1"], "widths"),
+            (["norms", "--experiment", "corollary", "--alpha", "0", "--seed", "1"], "alpha"),
             (["evaluate", "--alpha", "2", "--N", "12"], "N"),
         ],
-        ids=["delta", "b", "N"],
+        ids=["delta", "k_max", "b", "widths-above-b", "widths-zero", "widths-empty-annulus",
+             "alpha", "N"],
     )
     def test_library_refusal_names_the_flag_it_prints(self, argv, key, tmp_path, capsys):
         rc, _ = run_cli(argv, tmp_path)
         assert rc == 2
-        assert read_error(capsys)["key"] == key
+        record = read_error(capsys)
+        assert record["key"] == key
+        assert f"got {key}=" in record["message"]
+        assert os.listdir(tmp_path) == []
 
     def test_io_error_exit_code(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -15,7 +15,7 @@ from brlab.decomposition import (
     COEFF_GRID,
     BumpFunction,
     DyadicPiece,
-    GammaTable,
+    _coeff_table,
     br_apply_separable,
     gamma_decay_check,
     make_bump,
@@ -324,8 +324,8 @@ class TestPairPlan:
 class TestGammaCoeff:
     def test_k_zero_positive_on_support(self):
         # s = 0.8 puts u = 1 - s^2 t-profiles inside the level-2 window
-        table = GammaTable.build(DyadicPiece(2, 2.0), BUMP, 0, s_values=[0.8])
-        assert table.values[0, 0] > 0.0
+        table = _coeff_table(DyadicPiece(2, 2.0), BUMP, [0.8], 0)
+        assert table[0, 0] > 0.0
 
     def test_even_in_k_and_s(self):
         rng = np.random.default_rng(21)
@@ -333,48 +333,39 @@ class TestGammaCoeff:
             j = int(rng.integers(0, 6))
             k = int(rng.integers(1, 40))
             s = float(rng.uniform(0, 1))
-            table = GammaTable.build(DyadicPiece(j, 1.5), BUMP, k, s_values=[s, -s])
-            assert table.values[1, k] == table.values[0, k]
-            assert table.sup_over_s(-k) == table.sup_over_s(k)
+            table = _coeff_table(DyadicPiece(j, 1.5), BUMP, [s, -s], k)
+            assert table[1, k] == table[0, k]
+            # the decay audit folds -k onto k
+            minus, plus = (gamma_decay_check(1.5, 0.5, [j], [q], BUMP) for q in (-k, k))
+            assert minus.sup_table.tolist() == plus.sup_table.tolist()
 
     @pytest.mark.parametrize("s,t", [(0.3, 0.5), (0.55, 0.65)])
     def test_series_reconstruction(self, s, t):
         piece = DyadicPiece(2, 2.0)
         K = 512
-        table = GammaTable.build(piece, BUMP, K, s_values=[s])
-        coeffs = table.values[0]
+        coeffs = _coeff_table(piece, BUMP, [s], K)[0]
         series = coeffs[0] + 2.0 * np.sum(
             coeffs[1:] * np.cos(math.pi * np.arange(1, K + 1) * t)
         )
         assert abs(series - phi_j_alpha(s, t, piece, BUMP)) < 1e-6
 
-    def test_rejects_s_outside_unit_interval(self):
-        for s in (1.5, -1.5):
-            with pytest.raises(ValueError, match=r"\|s\| <= 1"):
-                GammaTable.build(DyadicPiece(0, 1.0), BUMP, 0, s_values=[0.5, s])
-
 
 class TestGammaTable:
     def test_build_shape_and_dtype(self):
-        table = GammaTable.build(DyadicPiece(2, 2.0), BUMP, 16)
-        assert table.values.shape == (257, 17)
-        assert table.values.dtype == np.float64
-        assert not table.values.flags.writeable
+        table = _coeff_table(DyadicPiece(2, 2.0), BUMP, np.linspace(0.0, 1.0, 257), 16)
+        assert table.shape == (257, 17)
+        assert table.dtype == np.float64
 
     def test_matches_single_coefficient_route(self):
         # a row does not depend on the other s values in the batch
         piece = DyadicPiece(3, 2.0)
-        table = GammaTable.build(piece, BUMP, 8, s_values=[0.2, 0.9])
-        single = GammaTable.build(piece, BUMP, 8, s_values=[0.9])
-        assert table.values[1, 5] == single.values[0, 5]
-
-    def test_sup_over_s_folds_sign(self):
-        table = GammaTable.build(DyadicPiece(1, 2.0), BUMP, 8)
-        assert table.sup_over_s(-3) == table.sup_over_s(3)
+        table = _coeff_table(piece, BUMP, [0.2, 0.9], 8)
+        single = _coeff_table(piece, BUMP, [0.9], 8)
+        assert table[1, 5] == single[0, 5]
 
     def test_k_beyond_quadrature_resolution_rejected(self):
-        with pytest.raises(ValueError):
-            GammaTable.build(DyadicPiece(0, 1.0), BUMP, COEFF_GRID // 2 + 1)
+        with pytest.raises(ValueError, match="k_max"):
+            _coeff_table(DyadicPiece(0, 1.0), BUMP, [0.5], COEFF_GRID // 2 + 1)
 
 
 def reference_multiplier(piece, u, bump=BUMP):
@@ -408,15 +399,16 @@ class TestBitwiseAgainstFullGrid:
         s_values = np.linspace(0.0, 1.0, rows) if rows > 1 else np.array([0.6])
         for j in self.LEVELS:
             piece = DyadicPiece(j, alpha)
-            table = GammaTable.build(piece, BUMP, 64, s_values)
+            table = _coeff_table(piece, BUMP, s_values, 64)
             want = reference_table(piece, s_values, 64)
-            assert np.array_equal(bits(table.values), bits(want)), (j, rows)
+            assert np.array_equal(bits(table), bits(want)), (j, rows)
 
     def test_default_table_matches_one_full_rfft(self):
         piece = DyadicPiece(4, 2.0)
-        table = GammaTable.build(piece, BUMP, COEFF_GRID // 2)
-        want = reference_table(piece, np.linspace(0.0, 1.0, 257), COEFF_GRID // 2)
-        assert np.array_equal(bits(table.values), bits(want))
+        s_values = np.linspace(0.0, 1.0, 257)
+        table = _coeff_table(piece, BUMP, s_values, COEFF_GRID // 2)
+        want = reference_table(piece, s_values, COEFF_GRID // 2)
+        assert np.array_equal(bits(table), bits(want))
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_multiplier_matches_full_product(self, alpha):
@@ -509,7 +501,7 @@ class TestSeparable:
         piece, K = DyadicPiece(2, 2.0), 8
         radii = grid.freq_radii()
         inside = np.unique(radii[radii <= 1.0])
-        table = GammaTable.build(piece, BUMP, K, inside).values
+        table = _coeff_table(piece, BUMP, inside, K)
         expected = np.zeros(grid.shape, dtype=np.complex128)
         for k in range(K + 1):
             gamma = BandSpec(0.0, 1.0, lambda r, k=k: table[np.searchsorted(inside, r), k])
