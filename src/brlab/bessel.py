@@ -105,6 +105,9 @@ def _validate_order(k: float) -> float:
 def _as_radii(r) -> tuple[np.ndarray, bool]:
     scalar = np.isscalar(r) or np.ndim(r) == 0
     arr = np.atleast_1d(np.asarray(r, dtype=float))
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ValueError(f"Bessel argument must be finite, got r={float(arr[~finite][0])}")
     if np.any(arr < 0):
         raise ValueError("Bessel argument must satisfy r >= 0")
     return arr, scalar
@@ -194,7 +197,7 @@ def bessel_j(k: float, r):
         Order, must satisfy -1/2 < k <= ``MAX_VALIDATED_ORDER`` (8); larger
         orders raise ``ValueError`` rather than return a wrong value.
     r : float or array_like
-        Nonnegative argument(s).
+        Finite nonnegative argument(s).
 
     Returns
     -------
@@ -270,9 +273,9 @@ def sphere_ft(lam, x, n: int):
     Parameters
     ----------
     lam : float or array_like
-        Dilation parameter(s), lambda > 0.
+        Dilation parameter(s), 0 < lambda < inf.
     x : float or array_like
-        Point in R^n (a scalar is treated as a 1-d point).
+        Point in R^n (a scalar is treated as a 1-d point) with finite |x|.
     n : int
         Spatial dimension, n >= 1.
 
@@ -284,9 +287,13 @@ def sphere_ft(lam, x, n: int):
     if n < 1:
         raise ValueError(f"dimension must satisfy n >= 1, got n={n}")
     lam_arr, scalar = np.atleast_1d(np.asarray(lam, dtype=float)), np.ndim(lam) == 0
-    if np.any(lam_arr <= 0):
-        raise ValueError("dilation parameter must satisfy lambda > 0")
+    usable = (lam_arr > 0) & (lam_arr < math.inf)
+    if not usable.all():
+        bad = float(lam_arr[~usable][0])
+        raise ValueError(f"dilation parameter must satisfy 0 < lambda < inf, got lam={bad}")
     radius = _point_radius(x)
+    if not math.isfinite(radius):
+        raise ValueError(f"point must have a finite norm, got x={x!r}")
     z = 2.0 * math.pi * lam_arr * radius
     if n == 1:
         out = 2.0 * np.cos(z)

@@ -568,7 +568,7 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--outdir", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_at_least(0), default=None)
 
     p = sub.add_parser("evaluate", help="run bilinear paths and compare them")
     common(p)

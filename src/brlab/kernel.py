@@ -41,6 +41,10 @@ roots_legendre = _GaussRules("roots_legendre")
 OSCILLATION_BUDGET = 50.0
 #: hard cap on per-axis quadrature nodes
 NODE_CAP = 3000
+#: most sphere-transform entries ``kernel_quadrature`` builds at once: it walks
+#: its G x G table in blocks of max(1, _TABLE_BLOCK // G) radial rows, so its
+#: working memory is O(_TABLE_BLOCK) (about 2 MiB) at any G
+_TABLE_BLOCK = 1 << 14
 #: most oscillation cycles (radius * rho) the quadratures resolve: they want
 #: 80 + 3.6 nodes per cycle, and past NODE_CAP their values mean nothing
 MAX_CYCLES = (NODE_CAP - 80) / 3.6
@@ -178,6 +182,8 @@ def kernel_quadrature(
     R*rho and warn past the budget.  The sphere transform depends only on
     |x|, so one table phi_{r cos th}(|x1|) is built, and the x2 table is a
     second one only when |x2| differs; either serves the sin slot reversed.
+    The tables are built and reduced in blocks of at most ``_TABLE_BLOCK``
+    entries, so memory does not grow with G.
     """
     if alpha < 0:
         raise ValueError(f"smoothness index must satisfy alpha >= 0, got alpha={alpha}")
@@ -198,12 +204,16 @@ def kernel_quadrature(
     r = radius * (t + 1.0) / 2.0
     smooth = (1.0 + r / radius) ** alpha * r ** (2 * n - 1)
     cos_t, _, theta_w = _polar_angle_rule(G, n)
-    lam = np.outer(r, cos_t).ravel()
-    first = sphere_ft(lam, pt.x1, n).reshape(G, G)
     same = _point_radius(pt.x2) == _point_radius(pt.x1)
-    second = first if same else sphere_ft(lam, pt.x2, n).reshape(G, G)
     # for each radial node, the theta-integral of the sphere-transform pair
-    angular = (first * second[:, ::-1]) @ theta_w
+    angular = np.empty(G)
+    rows = max(1, _TABLE_BLOCK // G)
+    for start in range(0, G, rows):
+        block = slice(start, start + rows)
+        lam = np.outer(r[block], cos_t).ravel()
+        first = sphere_ft(lam, pt.x1, n).reshape(-1, G)
+        second = first if same else sphere_ft(lam, pt.x2, n).reshape(-1, G)
+        angular[block] = (first * second[:, ::-1]) @ theta_w
     radial_factor = (radius / 2.0) * 2.0 ** (-alpha)
     return float(radial_factor * np.sum(w * smooth * angular))
 

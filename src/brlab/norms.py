@@ -344,7 +344,7 @@ def lemma1_scaling_experiment(
     pair = ExponentPair(p, 2)
     inv_p = pair.inv1
     if not Fraction(1, 2) <= inv_p <= 1:
-        raise ValueError(f"scaling experiment needs p in [1, 2], got p={p!r}")
+        raise ValueError(f"scaling experiment needs p in [1, 2], got p={p}")
     nyquist = (grid.N / 2.0) / grid.L
     if not 0 < b <= nyquist:
         raise ValueError(f"band edge must sit inside the lattice, got b={b}")

@@ -88,6 +88,13 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             bessel_j(0, -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_argument(self, bad):
+        # nan used to raise a misleading OverflowError, inf a RuntimeWarning in cos
+        for r in (bad, np.array([1.0, 20.0, bad])):
+            with pytest.raises(ValueError, match=f"finite, got r={bad}"):
+                bessel_j(0, r)
+
     def test_rejects_orders_above_validated_range(self):
         assert MAX_VALIDATED_ORDER == 8.0
         assert math.isfinite(bessel_j(8.0, 16.0))
@@ -175,6 +182,13 @@ class TestBesselOracle:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bessel_j_oracle(0, 199.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_argument(self, bad):
+        # nan used to come back as nan without a word
+        for r in (bad, np.array([1.0, bad])):
+            with pytest.raises(ValueError, match=f"finite, got r={bad}"):
+                bessel_j_oracle(1, r)
 
     def test_independent_of_call_history(self, monkeypatch):
         # a nearby order asked for first must not lend its rule to a later one
@@ -288,3 +302,17 @@ class TestSphereFt:
             sphere_ft(0.0, [1.0, 0.0], 2)
         with pytest.raises(ValueError):
             sphere_ft(1.0, [1.0], 0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_dilation(self, bad, n):
+        # nan used to pass the lambda > 0 check
+        for lam in (bad, np.array([0.5, bad])):
+            with pytest.raises(ValueError, match=f"got lam={bad}"):
+                sphere_ft(lam, [1.0] * n, n)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_point(self, bad, n):
+        with pytest.raises(ValueError, match="finite norm, got x="):
+            sphere_ft(np.array([0.5, 1.0]), [bad] + [0.0] * (n - 1), n)

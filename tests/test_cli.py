@@ -94,6 +94,29 @@ class TestValidation:
         assert rc == 2
         assert read_error(capsys)["key"] == "seed"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--alpha", "2", "--N", "32"],
+            ["decay", "--alpha", "2", "--j-range", "0:3"],
+            ["regions", "--p1", "1", "--p2", "2"],
+            ["kernel", "--check", "sweep", "--points", "2"],
+            ["norms", "--p", "1"],
+            ["bessel-check", "--points", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_names_seed(self, argv, tmp_path, capsys):
+        # evaluate used to run into a "-seed-1" directory; decay and norms
+        # were refused by numpy under key "config"
+        rc, _ = run_cli(argv + ["--seed", "-1"], tmp_path)
+        assert rc == 2
+        record = read_error(capsys)
+        assert (record["key"], record["message"]) == (
+            "seed", "argument --seed: must be at least 0, got -1"
+        )
+        assert os.listdir(tmp_path) == []
+
     def test_exponent_domain_error(self, tmp_path, capsys):
         rc, _ = run_cli(["regions", "--n", "2", "--p1", "1/2"], tmp_path)
         assert rc == 2

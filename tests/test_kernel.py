@@ -1,6 +1,7 @@
 """Tests for the kernel module: closed form, quadrature, pieces, envelopes."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -157,15 +158,38 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("x1,x2,tables", [(0.9, 0.9, 1), (-0.9, 0.9, 1), (0.4, 1.2, 2)])
     def test_one_sphere_table_per_distinct_radius(self, monkeypatch, x1, x2, tables):
+        # per block of radial rows: one block at the default 128 nodes, many at 800
         calls, sphere_ft = [], kernel.sphere_ft
 
         def counted(lam, x, n):
-            calls.append(x)
+            calls.append(np.size(lam))
             return sphere_ft(lam, x, n)
 
         monkeypatch.setattr(kernel, "sphere_ft", counted)
-        kernel_quadrature(KernelPoint(x1, x2), 2.0, 1)
-        assert len(calls) == tables
+        for G, nodes in ((128, None), (800, 800)):
+            calls.clear()
+            kernel_quadrature(KernelPoint(x1, x2), 2.0, 1, nodes=nodes)
+            rows = kernel._TABLE_BLOCK // G
+            blocks = -(-G // rows)
+            assert (blocks > 1) == (nodes is not None)
+            assert len(calls) == tables * blocks
+            assert max(calls) <= kernel._TABLE_BLOCK
+            assert sum(calls) == tables * G * G
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("x1,x2", [(3.0, 3.0), (3.0, 1.2)])
+    def test_blocked_tables_match_one_block(self, monkeypatch, n, x1, x2):
+        # the block shape changes only the summation order and the Bessel
+        # batches, so the values agree to rounding of the cancelling sum
+        pad = (0.0,) * (n - 1)
+        pt = KernelPoint((x1,) + pad, (x2,) + pad)
+        blocked = kernel_quadrature(pt, 2.0, n, nodes=800)
+        monkeypatch.setattr(kernel, "_TABLE_BLOCK", 800 * 800 + 1)
+        whole = kernel_quadrature(pt, 2.0, n, nodes=800)
+        sphere_ft = kernel.sphere_ft
+        monkeypatch.setattr(kernel, "sphere_ft", lambda lam, x, dim: np.abs(sphere_ft(lam, x, dim)))
+        magnitude = kernel_quadrature(pt, 2.0, n, nodes=800)
+        assert abs(blocked - whole) <= 1e-15 * magnitude
 
     @pytest.mark.parametrize("nodes", [5, 128, 129, 800])
     def test_angle_rule_sine_is_the_reversed_cosine(self, nodes):
@@ -190,6 +214,21 @@ class TestQuadrature:
     def test_node_cap_warns(self):
         with pytest.warns(AccuracyWarning):
             kernel_quadrature(KernelPoint(40.0, 0.0), 1.0, 1, radius=30.0)
+
+    @pytest.mark.parametrize("n,nodes", [(1, NODE_CAP), (2, 1520)])
+    def test_working_memory_is_bounded(self, n, nodes):
+        # whole G x G tables would take ~270 MiB at each of these; alpha = 1 at
+        # NODE_CAP shares the Gauss rules of the node-cap test above
+        pad = (0.0,) * (n - 1)
+        pt = KernelPoint((3.0,) + pad, (1.0,) + pad)
+        kernel_quadrature(pt, 1.0, n, nodes=nodes)  # build the Gauss rules first
+        tracemalloc.start()
+        try:
+            kernel_quadrature(pt, 1.0, n, nodes=nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
 
     def test_max_cycles_is_where_the_node_cap_binds(self):
         assert kernel._auto_nodes(None, MAX_CYCLES) == NODE_CAP

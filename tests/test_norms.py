@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -330,6 +331,11 @@ class TestLemma1Scaling:
     def test_validation(self):
         with pytest.raises(ValueError):
             lemma1_scaling_experiment(3, 8.0, [1.0], GRID, seed=0)
+        # the exponent is printed as the user writes it, not as Fraction(3, 1)
+        with pytest.raises(ValueError, match=r"got p=3$"):
+            lemma1_scaling_experiment(Fraction(3), 8.0, [1.0], GRID, seed=0)
+        with pytest.raises(ValueError, match=r"got p=5/2$"):
+            lemma1_scaling_experiment(Fraction(5, 2), 8.0, [1.0], GRID, seed=0)
         with pytest.raises(ValueError):
             lemma1_scaling_experiment(1, 100.0, [1.0], GRID, seed=0)
         with pytest.raises(ValueError):
