@@ -1,18 +1,18 @@
 """Bessel functions of real order and the sphere surface-measure transform.
 
 Two independent evaluation routes are kept side by side on purpose:
-``bessel_j`` is the production path (power series for small argument, a
-large-argument expansion evaluated by Horner's rule beyond), while
-``bessel_j_oracle`` evaluates the Poisson integral representation by
+``bessel_j`` is the production path, a thin layer over ``scipy.special``
+(``j0``, ``j1``, ``jv``) within 2e-14 max(1, |J|) of mpmath at 30 digits,
+while ``bessel_j_oracle`` evaluates the Poisson integral representation by
 Gauss-Jacobi quadrature.  Their agreement is the correctness anchor for every
 kernel and restriction computation built on top of them.  ``bessel_j`` refuses
-orders above ``MAX_VALIDATED_ORDER``, where its dispatch goes wrong.
+orders above ``MAX_VALIDATED_ORDER``, which the oracle cannot certify.
 
-``scipy.special`` is loaded at the first ``gammaln`` or Gauss-rule call
-(see :class:`_SpecialFunction`), never at import: importing it costs ~0.3 s,
-and most experiments never evaluate either.  ``roots_jacobi`` here and
-``roots_legendre`` in :mod:`brlab.kernel` are the one Gauss-rule provider
-(:class:`_GaussRules`), which builds each rule once per process.
+``scipy.special`` is loaded at the first Bessel, ``gammaln`` or Gauss-rule
+call (see :class:`_SpecialFunction`), never at import: importing it costs
+~0.3 s, and most experiments never evaluate any of them.  ``roots_jacobi``
+here and ``roots_legendre`` in :mod:`brlab.kernel` are the one Gauss-rule
+provider (:class:`_GaussRules`), which builds each rule once per process.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ class _GaussRules(_SpecialFunction):
 
 
 gammaln = _SpecialFunction("gammaln")
+j0 = _SpecialFunction("j0")
+j1 = _SpecialFunction("j1")
+jv = _SpecialFunction("jv")
 roots_jacobi = _GaussRules("roots_jacobi")
 
 
@@ -87,12 +90,12 @@ class AccuracyWarning(UserWarning):
 ORACLE_NODES = 256
 #: largest argument the 256-node oracle rule resolves comfortably
 ORACLE_BUDGET = 200.0
-#: largest order ``bessel_j`` accepts (error <= 7e-12 on r in [0, 400]); from
-#: order 8.5 up its large-argument expansion is off by up to 0.76 near r = 2k
+#: largest order ``bessel_j`` accepts: the oracle, its independent check,
+#: cannot certify orders above 8 (ROADMAP item 5 decides whether to lift it)
 MAX_VALIDATED_ORDER = 8.0
-
-_SERIES_MAX_TERMS = 160
-_ASYMPTOTIC_MAX_TERMS = 60
+#: below this argument the second series term, (r/2)^2 / (k+1) <= 5e-17 of
+#: the first for every k > -1/2, is lost to rounding
+_TINY_ARGUMENT = 1e-8
 
 
 def _validate_order(k: float) -> float:
@@ -113,79 +116,18 @@ def _as_radii(r) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
-def _series_small(k: float, r: np.ndarray) -> np.ndarray:
-    """Ascending power series, adequate below the dispatch radius."""
-    out = np.zeros_like(r)
+def _leading_term(k: float, r: np.ndarray) -> np.ndarray:
+    """(r/2)^k / Gamma(k+1), the first term of the ascending series."""
+    out = np.full_like(r, 1.0 if k == 0 else math.inf if k < 0 else 0.0)
     pos = r > 0
-    if k <= 0:
-        out[~pos] = 1.0 if k == 0 else math.inf  # J_k(0) diverges for k < 0
-    if not np.any(pos):
-        return out
     rp = r[pos]
-    # leading term (r/2)^k / Gamma(k+1), computed in log space; below the
-    # normal range r/2 is rounded (5e-324 halves to 0), so log r - log 2 there
+    # in log space; below the normal range r/2 is rounded (5e-324 halves to
+    # 0), so log r - log 2 there
     lost = rp < 2.0 * np.finfo(float).tiny
     log_half = np.log(np.where(lost, 1.0, rp / 2.0))
     log_half[lost] = np.log(rp[lost]) - math.log(2.0)
-    term = np.exp(k * log_half - gammaln(k + 1.0), out=log_half)
-    total = term.copy()
-    neg_quarter_sq = -((rp / 2.0) ** 2)
-    buf = np.empty_like(rp)
-    # For m >= 1, |term_m| grows with r, so the largest-r entry's term bounds
-    # max|term| below and 2 (max|term_0| + its later |terms|) bounds
-    # max|total| above; the full-array stop test runs only once those
-    # scalars allow it to pass, so it stops at the same m.
-    top = int(np.argmax(rp))
-    bound = 2.0 * float(np.abs(term).max())
-    for m in range(1, _SERIES_MAX_TERMS):
-        term *= neg_quarter_sq
-        term /= m * (k + m)
-        total += term
-        top_term = abs(float(term[top]))
-        bound += 2.0 * top_term
-        if top_term >= 1e-18 * max(bound, 1e-300):
-            continue
-        if np.abs(term, out=buf).max() < 1e-18 * max(np.abs(total, out=buf).max(), 1e-300):
-            break
-    out[pos] = total
+    out[pos] = np.exp(k * log_half - gammaln(k + 1.0))
     return out
-
-
-def _asymptotic_large(k: float, r: np.ndarray) -> np.ndarray:
-    """Large-argument expansion J_k(r) ~ sqrt(2/(pi r)) (P cos w - Q sin w).
-
-    The modulus/phase series is truncated once per batch, at its smallest term
-    at the batch's smallest r or the first term below 1e-18 there; for
-    half-integer orders it terminates and is exact.  With x = 1/r, the kept
-    signed coefficients c_m give P = sum c_2j x^2j and Q = x sum c_2j+1 x^2j,
-    both evaluated in place by Horner's rule in x^2.
-    """
-    mu = 4.0 * k * k
-    coeffs = [1.0]  # c_m = (-1)^(m//2) a_m
-    a = 1.0  # a_0
-    r_min = float(np.min(r))
-    prev = math.inf
-    for m in range(1, _ASYMPTOTIC_MAX_TERMS):
-        a = a * (mu - (2 * m - 1) ** 2) / (8.0 * m)
-        if a == 0.0:
-            break  # terminating (half-integer) series
-        size = abs(a) / r_min**m
-        if size >= prev:
-            break  # smallest-term truncation reached
-        prev = size
-        coeffs.append((-1.0) ** (m // 2) * a)
-        if size < 1e-18:
-            break
-    x2 = 1.0 / (r * r)
-    p_sum, q_sum = np.zeros_like(r), np.zeros_like(r)
-    for m in range(len(coeffs) - 1, -1, -1):
-        acc = q_sum if m % 2 else p_sum
-        acc *= x2
-        acc += coeffs[m]
-    q_sum /= r
-    omega = np.subtract(r, (0.5 * k + 0.25) * math.pi, out=x2)  # reuse the spent x2
-    amp = np.sqrt(2.0 / (math.pi * r))
-    return amp * (p_sum * np.cos(omega) - q_sum * np.sin(omega))
 
 
 def bessel_j(k: float, r):
@@ -195,29 +137,28 @@ def bessel_j(k: float, r):
     ----------
     k : float
         Order, must satisfy -1/2 < k <= ``MAX_VALIDATED_ORDER`` (8); larger
-        orders raise ``ValueError`` rather than return a wrong value.
+        orders raise ``ValueError`` rather than return an uncertified value.
     r : float or array_like
         Finite nonnegative argument(s).
 
     Returns
     -------
     float or ndarray
-        J_k evaluated elementwise, within 7e-12 of an independent reference
-        on r in [0, 400]; +inf at r = 0 for k < 0.  Dispatches internally
-        between the ascending power series for r < max(12, 2k) and the
-        Horner-evaluated large-argument expansion beyond the switch radius.
+        J_k evaluated elementwise by ``scipy.special`` (``j0`` at order 0,
+        ``j1`` at order 1, ``jv`` otherwise), within 2e-14 max(1, |J|) of
+        mpmath's ``besselj`` at 30 digits on r in [1e-8, 2e4].  Below
+        r = 1e-8 it is the leading series term, J_k there to rounding
+        (within 5e-14 relative, subnormal r included, where ``jv`` returns
+        0 or inf); +inf at r = 0 for k < 0.
     """
     k = _validate_order(k)
     if k > MAX_VALIDATED_ORDER:
         raise ValueError(f"Bessel order k={k} > {MAX_VALIDATED_ORDER:g}, the validated maximum")
     r, scalar = _as_radii(r)
-    switch = max(12.0, 2.0 * k)
-    out = np.empty_like(r)
-    small = r < switch
-    if np.any(small):
-        out[small] = _series_small(k, r[small])
-    if np.any(~small):
-        out[~small] = _asymptotic_large(k, r[~small])
+    out = j0(r) if k == 0 else j1(r) if k == 1 else jv(k, r)
+    tiny = r < _TINY_ARGUMENT
+    if np.any(tiny):
+        out[tiny] = _leading_term(k, r[tiny])
     if not np.all(np.isfinite(out)) and k >= 0:
         raise OverflowError("Bessel evaluation produced a non-finite intermediate")
     return float(out[0]) if scalar else out

@@ -11,8 +11,8 @@ are the checks this module exposes.
 
 ``gammaln``, ``roots_jacobi`` and ``roots_legendre`` are the deferred
 ``scipy.special`` functions of :mod:`brlab.bessel`: scipy is loaded by the
-first Gauss rule or log-gamma call in either module, not by importing them,
-and the two rule functions build each rule once per process.
+first Gauss rule, log-gamma or Bessel call in either module, not by importing
+them, and the two rule functions build each rule once per process.
 """
 
 from __future__ import annotations

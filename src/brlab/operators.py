@@ -352,8 +352,10 @@ def br_apply_kernel(
     unique_sq, shell = np.unique(sum(axes_sq), return_inverse=True)
     shell = shell.reshape(grid.shape)  # numpy < 2 returns it flat
     _check_budget(unique_sq.size * grid.N**grid.n, budget)
-    rho_table = np.sqrt(np.add.outer(unique_sq, unique_sq))
-    kernel_table = kernel_radial(rho_table, spec.alpha, grid.n, spec.radius)
+    # kernel_radial runs once per distinct |x1|^2 + |x2|^2, not per table entry
+    sums, pair = np.unique(np.add.outer(unique_sq, unique_sq), return_inverse=True)
+    kernel_values = kernel_radial(np.sqrt(sums), spec.alpha, grid.n, spec.radius)
+    kernel_table = kernel_values[pair].reshape(unique_sq.size, unique_sq.size)
     F_hat = np.fft.fftn(f.values)
     G_hat = np.fft.fftn(g.values)
     out = np.zeros(grid.shape, dtype=np.complex128)

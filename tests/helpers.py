@@ -5,7 +5,7 @@ import math
 import os
 
 import numpy as np
-from scipy.special import gammaln, roots_legendre
+from scipy.special import roots_legendre
 
 from brlab.bessel import sphere_ft
 from brlab.cli import main
@@ -121,34 +121,27 @@ def polar_kj_kernel(pt, piece, n: int, bump, radial_nodes: int = 512) -> float:
     return float((r_hi - r_lo) / 2.0 * np.sum(w * profile * pair))
 
 
-def per_term_stop_series(k: float, r: np.ndarray) -> np.ndarray:
-    """The ascending J_k series with a full-array stop test after every term.
+def full_table_kernel_apply(f: SampledField, g: SampledField, spec) -> np.ndarray:
+    """``brlab.operators.br_apply_kernel``'s shell sum on its full U x U table.
 
-    Same terms and the same rule as ``brlab.bessel._series_small``: stop once
-    max|term| < 1e-18 max(max|total|, 1e-300), checked over the whole batch
-    at every m, with no cheaper scalar pre-test.
+    Evaluates ``kernel_radial`` at every (shell, shell) entry instead of once
+    per distinct |x1|^2 + |x2|^2, with the same shells, FFTs and order of
+    accumulation, so its output is what the apply computes bit for bit.
     """
-    out = np.zeros_like(r)
-    pos = r > 0
-    if k <= 0:
-        out[~pos] = 1.0 if k == 0 else math.inf
-    if not np.any(pos):
-        return out
-    rp = r[pos]
-    lost = rp < 2.0 * np.finfo(float).tiny
-    log_half = np.log(np.where(lost, 1.0, rp / 2.0))
-    log_half[lost] = np.log(rp[lost]) - math.log(2.0)
-    term = np.exp(k * log_half - gammaln(k + 1.0))
-    total = term.copy()
-    neg_quarter_sq = -((rp / 2.0) ** 2)
-    for m in range(1, 160):
-        term *= neg_quarter_sq
-        term /= m * (k + m)
-        total += term
-        if np.abs(term).max() < 1e-18 * max(np.abs(total).max(), 1e-300):
-            break
-    out[pos] = total
-    return out
+    grid = f.grid
+    half = grid.N // 2
+    signed = ((np.arange(grid.N) + half) % grid.N - half) * grid.spacing
+    unique_sq, shell = np.unique(sum(np.meshgrid(*([signed**2] * grid.n), indexing="ij")),
+                                 return_inverse=True)
+    shell = shell.reshape(grid.shape)
+    table = kernel_radial(np.sqrt(np.add.outer(unique_sq, unique_sq)), spec.alpha, grid.n,
+                          spec.radius)
+    F_hat, G_hat = np.fft.fftn(f.values), np.fft.fftn(g.values)
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    for u, row in enumerate(table):
+        inner = np.fft.ifftn(G_hat * np.fft.fftn(row[shell]))
+        out += np.fft.ifftn(F_hat * np.fft.fftn(shell == u)) * inner
+    return out * grid.cell_volume**2
 
 
 def rel_l2(actual: np.ndarray, expected: np.ndarray) -> float:

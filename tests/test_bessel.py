@@ -3,27 +3,31 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 import scipy.special
-from scipy.special import jv
 
 from brlab import bessel, kernel
 from brlab.bessel import (
     MAX_VALIDATED_ORDER,
     AccuracyWarning,
-    _series_small,
     bessel_j,
     bessel_j_oracle,
     sphere_ft,
 )
-from helpers import per_term_stop_series
 
 HALF_INTEGER_ORDERS = [0.5, 1.5, 2.5]
 TEST_ORDERS = [0, 0.5, 1, 1.5, 2, 2.5]
+
+
+def mp_besselj(k: float, r: float) -> float:
+    """J_k(r) from mpmath at 30 digits, sharing no code with scipy or brlab."""
+    with mpmath.workdps(30):
+        return float(mpmath.besselj(k, r))
 
 
 class TestBesselJ:
@@ -35,7 +39,7 @@ class TestBesselJ:
     def test_negative_order_diverges_at_zero(self):
         # J_k(r) ~ (r/2)^k / Gamma(k+1) blows up at r = 0 for -1/2 < k < 0
         assert bessel_j(-0.25, 0.0) == math.inf
-        assert_allclose(bessel_j(-0.25, 1e-3), jv(-0.25, 1e-3), rtol=1e-13)
+        assert_allclose(bessel_j(-0.25, 1e-3), mp_besselj(-0.25, 1e-3), rtol=1e-13)
         both = bessel_j(-0.25, np.array([0.0, 1e-3]))
         assert both[0] == math.inf and both[1] == bessel_j(-0.25, 1e-3)
 
@@ -46,7 +50,7 @@ class TestBesselJ:
         assert_allclose(bessel_j(0, x), expected, rtol=1e-12)
 
     def test_half_integer_closed_form(self):
-        # J_{1/2}(r) = sqrt(2/(pi r)) sin r on both sides of the dispatch
+        # J_{1/2}(r) = sqrt(2/(pi r)) sin r
         r = np.concatenate([np.linspace(0.05, 11.9, 37), np.linspace(12.1, 180.0, 41)])
         exact = np.sqrt(2.0 / (math.pi * r)) * np.sin(r)
         assert np.max(np.abs(bessel_j(0.5, r) - exact)) < 1e-10
@@ -107,17 +111,17 @@ class TestBesselJ:
             min_value=-0.5, max_value=MAX_VALIDATED_ORDER, exclude_min=True,
             allow_subnormal=False,
         )
-        | st.sampled_from([m + 0.5 for m in range(8)]),
-        r=st.floats(min_value=1e-300, max_value=400.0),
+        | st.sampled_from([0.0, 1.0] + [m + 0.5 for m in range(8)]),
+        r=st.floats(min_value=1e-300, max_value=2e4),
     )
     def test_matches_independent_reference(self, k, r):
-        # scipy's jv shares no code with either brlab route.  The kernel uses
-        # orders n + alpha up to 7 on both sides of the dispatch radius, and
-        # at half-integer orders the expansion terminates early.  jv underflows
-        # below r ~ 1e-304 and overflows at subnormal orders, so the next test
-        # covers those inputs.
-        want = float(jv(k, r))
-        assert abs(bessel_j(k, r) - want) <= 1e-11 * max(1.0, abs(want))
+        # mpmath shares no code with scipy, which bessel_j calls (j0 and j1
+        # at orders 0 and 1, jv elsewhere), or with the oracle.  The kernel
+        # uses orders n + alpha up to 7, and the sphere transforms order 0 out
+        # to r ~ 2e4.  Measured worst: 1.5e-14 for r >= 1e-8 and 4.4e-14 on
+        # the leading-term branch below it (6,000 random draws).
+        want = mp_besselj(k, r)
+        assert abs(bessel_j(k, r) - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_subnormal_arguments(self):
         # values from mpmath.besselj at 30 digits; below the normal range r/2
@@ -139,28 +143,18 @@ class TestBesselJ:
 
 
 class TestSeriesStopRule:
-    def test_matches_per_term_full_array_stop(self):
-        # the scalar pre-test may only skip stop tests that cannot pass, so
-        # the series stops at the same term and its bits are unchanged
-        rng = np.random.default_rng(11)
-        orders = [-0.49, -0.25, -1e-3, 0.0, 0.5, 1.0, 2.5, 4.0, 7.0, 8.0]
-        for k in orders:
-            switch = max(12.0, 2.0 * k)
-            for size in rng.integers(1, 600, size=6):
-                r = switch * rng.random(size) ** rng.uniform(1.0, 6.0)
-                r[rng.integers(0, size, size=max(1, size // 10))] = 0.0
-                got, want = _series_small(k, r), per_term_stop_series(k, r)
-                assert got.tobytes() == want.tobytes()
-
     def test_single_branch_batch_equals_mixed_batch(self):
+        # no value depends on its batch mates, a leading-term radius included
+        # (J_{-1/4}(11) ~ -0.093 must not move when r = 1e-300 joins it)
         rng = np.random.default_rng(12)
         for k in (-0.25, 0.0, 1.5, 7.0):
             switch = max(12.0, 2.0 * k)
             series = np.sort(switch * rng.random(50))
             expansion = switch + 300.0 * rng.random(50)
-            mixed = bessel_j(k, np.concatenate([series, expansion]))
+            mixed = bessel_j(k, np.concatenate([series, expansion, [1e-300, 11.0]]))
             assert np.array_equal(bessel_j(k, series), mixed[:50])
-            assert np.array_equal(bessel_j(k, expansion), mixed[50:])
+            assert np.array_equal(bessel_j(k, expansion), mixed[50:100])
+            assert mixed[100] == bessel_j(k, 1e-300) and mixed[101] == bessel_j(k, 11.0)
 
 
 class TestBesselOracle:

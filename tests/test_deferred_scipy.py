@@ -1,10 +1,10 @@
-"""brlab loads scipy.special at its first Gauss rule or log-gamma call.
+"""brlab loads scipy.special at its first Gauss rule, log-gamma or Bessel call.
 
 Importing ``scipy.special`` costs ~0.3 s, so ``brlab`` and ``brlab.cli``
-import without it, and the experiments that build no Gauss rule and take
-no log-gamma never load it.  The deferred functions stay module attributes
-that callers reach through their module globals, so replacing one still
-intercepts every call.
+import without it, and the experiments that build no Gauss rule, take no
+log-gamma and evaluate no Bessel function never load it.  The deferred
+functions stay module attributes that callers reach through their module
+globals, so replacing one still intercepts every call.
 """
 
 import os
@@ -52,13 +52,51 @@ print("ok")
 """
 
 
-def test_brlab_starts_without_scipy(tmp_path):
+BESSEL_SCRIPT = """
+import sys
+import brlab
+assert "scipy.special" not in sys.modules, "scipy.special loaded by import brlab"
+brlab.bessel_j(0, 1.0)
+assert "scipy.special" in sys.modules, "bessel_j ran without scipy.special"
+print("ok")
+"""
+
+
+def _run_fresh(code: str) -> None:
     src = str(Path(bessel.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = f"RUNS = {SCIPY_FREE_RUNS!r}\nOUT = {str(tmp_path)!r}\n" + SCRIPT
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "ok"
+
+
+def test_brlab_starts_without_scipy(tmp_path):
+    _run_fresh(f"RUNS = {SCIPY_FREE_RUNS!r}\nOUT = {str(tmp_path)!r}\n" + SCRIPT)
+
+
+def test_first_bessel_call_loads_scipy():
+    _run_fresh(BESSEL_SCRIPT)
+
+
+def test_bessel_hooks_intercept_every_call(monkeypatch):
+    # bessel_j reaches scipy through the module attributes j0, j1 and jv, so
+    # replacing them sees its calls, from sphere_ft and kernel_radial too
+    calls = []
+    for name in ("j0", "j1", "jv"):
+        proxy = getattr(bessel, name)
+
+        def hook(*args, name=name, proxy=proxy):
+            calls.append((name, np.size(args[-1])))
+            return proxy(*args)
+
+        monkeypatch.setattr(bessel, name, hook)
+    r = np.array([0.5, 3.0, 40.0])
+    bessel.bessel_j(0, r)
+    bessel.bessel_j(1, 2.0)
+    bessel.bessel_j(2.5, r)
+    bessel.sphere_ft(r, [1.0, 0.0], 2)
+    kernel.kernel_radial(r, 2.0, 1)
+    assert calls == [("j0", 3), ("j1", 1), ("jv", 3), ("j0", 3), ("jv", 3)]
 
 
 def test_rule_hooks_intercept_every_build(monkeypatch):
@@ -116,6 +154,9 @@ def test_deferred_functions_match_scipy_bitwise():
     x = np.array([0.5, 1.5, 2.5, 3.0, 7.25, 29.5])
     assert bessel.gammaln(x).tobytes() == scipy.special.gammaln(x).tobytes()
     assert bessel.gammaln(2.5) == scipy.special.gammaln(2.5)
+    assert bessel.j0(x).tobytes() == scipy.special.j0(x).tobytes()
+    assert bessel.j1(x).tobytes() == scipy.special.j1(x).tobytes()
+    assert bessel.jv(2.5, x).tobytes() == scipy.special.jv(2.5, x).tobytes()
     for got, want in [
         (bessel.roots_jacobi(256, 1.5, 1.5), scipy.special.roots_jacobi(256, 1.5, 1.5)),
         (kernel.roots_jacobi(128, 2.0, 0.0), scipy.special.roots_jacobi(128, 2.0, 0.0)),

@@ -31,7 +31,13 @@ from brlab.operators import (
     br_apply_radial,
     restriction,
 )
-from helpers import literal_kernel_sum, literal_pair_sum, random_field, rel_l2
+from helpers import (
+    full_table_kernel_apply,
+    literal_kernel_sum,
+    literal_pair_sum,
+    random_field,
+    rel_l2,
+)
 
 GRID_1D = Grid(1, 256, 16.0)
 
@@ -412,6 +418,26 @@ class TestKernelPath:
         f = random_field(grid, seed=52)
         with pytest.raises(BudgetError):
             br_apply_kernel(f, f, MultiplierSpec(alpha=1.0), budget=1_000_000)
+
+    @pytest.mark.parametrize(
+        "grid", [Grid(1, 256, 32.0), Grid(2, 16, 4.0), Grid(2, 32, 8.0)], ids=["1d", "2d-16", "2d-32"]
+    )
+    def test_one_kernel_value_per_distinct_radius(self, grid, monkeypatch):
+        # the kernel runs once per distinct |x1|^2 + |x2|^2, and the apply is
+        # bitwise the one that evaluates the full shell x shell table
+        f, g = random_field(grid, seed=54), random_field(grid, seed=55)
+        spec = MultiplierSpec(alpha=2.0, radius=1.5)
+        seen, kernel_radial = [], operators.kernel_radial
+
+        def recorded(rho, *args):
+            seen.append(np.array(rho))
+            return kernel_radial(rho, *args)
+
+        monkeypatch.setattr(operators, "kernel_radial", recorded)
+        out = br_apply_kernel(f, g, spec)
+        (rho,) = seen
+        assert rho.ndim == 1 and np.unique(rho).size == rho.size
+        assert out.values.tobytes() == full_table_kernel_apply(f, g, spec).tobytes()
 
     def test_budget_counts_shells_times_points(self):
         # 42 distinct squared minimum-image radii on 16 x 16 points
