@@ -11,7 +11,6 @@ as N grows with L fixed.  Every CSV file the package writes goes through
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -383,19 +382,21 @@ def modulate(f: SampledField, freq) -> SampledField:
     return SampledField(f.grid, f.values * np.exp(2j * math.pi * phase))
 
 
-def write_rows(path, header, rows) -> None:
+def write_rows(path, header, rows, plain: bool = False) -> None:
     """Write a CSV file: the header, then each row.
 
     Every float, Python or numpy, is written as ``repr(float(v))``, the
     shortest text that reads back bitwise equal; every other value is
     written as :mod:`csv` writes it.  Numpy scalars become Python scalars
     first; csv writes a Python float as ``str(v)``, which equals its repr.
+    ``plain`` rows hold Python scalars only and skip that conversion.
     """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(
-            [v.item() if isinstance(v, np.generic) else v for v in row] for row in rows
+            rows if plain else
+            ([v.item() if isinstance(v, np.generic) else v for v in row] for row in rows)
         )
 
 
@@ -405,11 +406,10 @@ def field_to_csv(f: SampledField, path) -> None:
     Rows come in C order; the index tuples are plain ints.
     """
     header = [f"i{a}" for a in range(f.grid.n)] + ["re", "im"]
+    indices = np.indices(f.grid.shape).reshape(f.grid.n, -1).tolist()
     real = f.values.real.ravel().tolist()
     imag = f.values.imag.ravel().tolist()
-    indices = itertools.product(range(f.grid.N), repeat=f.grid.n)
-    rows = ([*idx, re, im] for idx, re, im in zip(indices, real, imag))
-    write_rows(path, header, rows)
+    write_rows(path, header, zip(*indices, real, imag), plain=True)
 
 
 def field_from_csv(path, L: float) -> SampledField:

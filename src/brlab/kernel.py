@@ -3,11 +3,11 @@
 The kernel is radial on the doubled space: its value at (x1, x2) in
 R^n x R^n depends only on rho = sqrt(|x1|^2 + |x2|^2).  Three routes:
 the Bessel closed form of the full kernel; the polar double quadrature of
-the defining integral against sphere transforms, its independent check;
-and the 1-D radial transform on R^{2n} for the dyadic piece kernels, whose
-polar-quadrature check lives with the tests.  Their agreement, the dilation
-identity, the asymptotic decay rate, and the dyadic piece-kernel envelope
-are the checks this module exposes.
+the defining integral against sphere transforms (angular rules sized per
+radius), its independent check; and the 1-D radial transform on R^{2n} for
+the dyadic piece kernels, whose polar-quadrature check lives with the tests.
+Their agreement, the dilation identity, the asymptotic decay rate, and the
+dyadic piece-kernel envelope are the checks this module exposes.
 
 ``gammaln``, ``roots_jacobi`` and ``roots_legendre`` are the deferred
 ``scipy.special`` functions of :mod:`brlab.bessel`: scipy is loaded by the
@@ -42,12 +42,14 @@ OSCILLATION_BUDGET = 50.0
 #: hard cap on per-axis quadrature nodes
 NODE_CAP = 3000
 #: most sphere-transform entries ``kernel_quadrature`` builds at once: it walks
-#: its G x G table in blocks of max(1, _TABLE_BLOCK // G) radial rows, so its
-#: working memory is O(_TABLE_BLOCK) (about 2 MiB) at any G
+#: the rows of each angular rule size in blocks of max(1, _TABLE_BLOCK // size),
+#: so its working memory is O(_TABLE_BLOCK) (about 2 MiB) at any G
 _TABLE_BLOCK = 1 << 14
-#: most oscillation cycles (radius * rho) the quadratures resolve: they want
-#: 80 + 3.6 nodes per cycle, and past NODE_CAP their values mean nothing
-MAX_CYCLES = (NODE_CAP - 80) / 3.6
+#: node density of every quadrature rule: a base plus so many per cycle
+_BASE_NODES, _NODES_PER_CYCLE = 80, 3.6
+#: most oscillation cycles (radius * rho) the quadratures resolve: past it
+#: ``_cycle_nodes`` wants more than NODE_CAP nodes and values mean nothing
+MAX_CYCLES = (NODE_CAP - _BASE_NODES) / _NODES_PER_CYCLE
 #: Gauss-Legendre node floor of the piece kernels' radial rule
 PIECE_NODES = 512
 _SERIES_RHO = 1e-3
@@ -143,8 +145,21 @@ def kernel_radial(rho, alpha: float, n: int, radius: float = 1.0):
     return float(out[0]) if scalar else out
 
 
+def _cycle_nodes(requested, cycles):
+    """Nodes (as floats) that resolve ``cycles``, at least ``requested`` (128 if None)."""
+    wanted = _BASE_NODES + np.ceil(_NODES_PER_CYCLE * np.asarray(cycles))
+    return np.maximum(128 if requested is None else int(requested), wanted)
+
+
+def _ladder(nodes):
+    """``nodes`` up to a multiple of 64 (to 1,024), 128 (to 2,048) or 192, to share rules."""
+    # coarser rungs past 1,024: a climb to the node cap builds 29 rules, not 46
+    step = 64 * np.maximum(1, -(-nodes // 1024))
+    return -(-nodes // step) * step
+
+
 def _auto_nodes(requested, cycles: float) -> int:
-    nodes = max(128 if requested is None else int(requested), 80 + math.ceil(3.6 * cycles))
+    nodes = int(_cycle_nodes(requested, cycles))
     if nodes > NODE_CAP:
         warnings.warn(
             f"quadrature wants {nodes} nodes per axis, capping at {NODE_CAP};"
@@ -178,12 +193,13 @@ def kernel_quadrature(
     (r cos th)^{n-1} (r sin th)^{n-1} r dr dth over the quarter disk of
     radius R.  The radial edge factor (1 - r/R)^alpha is absorbed into a
     Gauss-Jacobi weight so the boundary kink costs no accuracy; the angular
-    direction uses Gauss-Legendre.  Node counts scale with the oscillation
-    R*rho and warn past the budget.  The sphere transform depends only on
-    |x|, so one table phi_{r cos th}(|x1|) is built, and the x2 table is a
-    second one only when |x2| differs; either serves the sin slot reversed.
-    The tables are built and reduced in blocks of at most ``_TABLE_BLOCK``
-    entries, so memory does not grow with G.
+    direction uses Gauss-Legendre.  G radial nodes scale with R*rho and warn
+    past the budget; node r gets the angular rule of its own r*rho cycles,
+    laddered, floored like G and at most G (bitwise a G-node rule where all
+    get G).  The sphere transform depends only on |x|, so one table
+    phi_{r cos th}(|x1|) is built, and the x2 table is a second one only when
+    |x2| differs; either serves the sin slot reversed.  Each rule size's rows
+    go in blocks of at most ``_TABLE_BLOCK`` entries: memory does not grow.
     """
     if alpha < 0:
         raise ValueError(f"smoothness index must satisfy alpha >= 0, got alpha={alpha}")
@@ -203,17 +219,21 @@ def kernel_quadrature(
     t, w = roots_jacobi(G, alpha, 0.0)
     r = radius * (t + 1.0) / 2.0
     smooth = (1.0 + r / radius) ** alpha * r ** (2 * n - 1)
-    cos_t, _, theta_w = _polar_angle_rule(G, n)
+    # the angular integrand at radius r has r * rho cycles
+    sizes = np.minimum(G, _ladder(_cycle_nodes(nodes, r * pt.rho))).astype(int)
     same = _point_radius(pt.x2) == _point_radius(pt.x1)
     # for each radial node, the theta-integral of the sphere-transform pair
     angular = np.empty(G)
-    rows = max(1, _TABLE_BLOCK // G)
-    for start in range(0, G, rows):
-        block = slice(start, start + rows)
-        lam = np.outer(r[block], cos_t).ravel()
-        first = sphere_ft(lam, pt.x1, n).reshape(-1, G)
-        second = first if same else sphere_ft(lam, pt.x2, n).reshape(-1, G)
-        angular[block] = (first * second[:, ::-1]) @ theta_w
+    for size in np.unique(sizes).tolist():
+        cos_t, _, theta_w = _polar_angle_rule(size, n)
+        members = np.flatnonzero(sizes == size)
+        rows = max(1, _TABLE_BLOCK // size)
+        for start in range(0, members.size, rows):
+            block = members[start:start + rows]
+            lam = np.outer(r[block], cos_t).ravel()
+            first = sphere_ft(lam, pt.x1, n).reshape(-1, size)
+            second = first if same else sphere_ft(lam, pt.x2, n).reshape(-1, size)
+            angular[block] = (first * second[:, ::-1]) @ theta_w
     radial_factor = (radius / 2.0) * 2.0 ** (-alpha)
     return float(radial_factor * np.sum(w * smooth * angular))
 
@@ -252,9 +272,9 @@ def kj_kernel(points, piece, n: int, bump):
     and K_j(0) = (2 pi^n / Gamma(n)) int m_j(r) r^{2n-1} dr over the slice
     annulus, where m_j vanishes to all orders at both edges.  Node rule:
     Gauss-Legendre on the annulus, max(512, 80 + ceil(3.6 (r_hi - r_lo) rho))
-    nodes capped at ``NODE_CAP`` with a warning; 512 nodes agree with 3,000
-    to ~1e-13 of max|K_j| for rho <= 50.  One transform per distinct rho;
-    J_{n-1} needs n <= 9.
+    nodes on the node ladder, capped at ``NODE_CAP`` with a warning; 512 nodes
+    agree with 3,000 to ~1e-13 of max|K_j| for rho <= 50.  One transform per
+    distinct rho; J_{n-1} needs n <= 9.
     """
     single = isinstance(points, KernelPoint)
     points = [points] if single else list(points)
@@ -273,7 +293,7 @@ def kj_kernel(points, piece, n: int, bump):
     # at large j both edges round to 1: the annulus is empty and K_j is 0
     distinct = dict.fromkeys(pt.rho for pt in points) if r_hi > r_lo else {}
     for rho in distinct:
-        G = _auto_nodes(PIECE_NODES, (r_hi - r_lo) * rho)
+        G = min(NODE_CAP, int(_ladder(_auto_nodes(PIECE_NODES, (r_hi - r_lo) * rho))))
         if G not in rules:
             t, w = roots_legendre(G)
             r = r_lo + (r_hi - r_lo) * (t + 1.0) / 2.0

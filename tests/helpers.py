@@ -7,7 +7,8 @@ import os
 import numpy as np
 from scipy.special import roots_legendre
 
-from brlab.bessel import sphere_ft
+from brlab import kernel
+from brlab.bessel import _point_radius, roots_jacobi, sphere_ft
 from brlab.cli import main
 from brlab.grid import Grid, SampledField
 from brlab.kernel import _auto_nodes, _polar_angle_rule, _slice_edges, kernel_radial
@@ -101,7 +102,8 @@ def polar_kj_kernel(pt, piece, n: int, bump, radial_nodes: int = 512) -> float:
     integrates m_j(r) phi_{r cos th}(x1) phi_{r sin th}(x2) (r cos th)^{n-1}
     (r sin th)^{n-1} r dr dth, with m_j = (1 - r^2)^alpha bump(2^j (1 - r^2)),
     by Gauss-Legendre on the slice annulus (at least ``radial_nodes`` nodes,
-    more as rho grows) and the angular rule of ``kernel_quadrature``.
+    more as rho grows) and one Gauss-Legendre angular rule for every radius,
+    of ``_auto_nodes(None, rho * r_hi)`` nodes.
     """
     j, alpha = int(piece.j), float(piece.alpha)
     r_lo, r_hi = _slice_edges(j)
@@ -119,6 +121,36 @@ def polar_kj_kernel(pt, piece, n: int, bump, radial_nodes: int = 512) -> float:
 
     pair = (table(cos_t, pt.x1) * table(sin_t, pt.x2)) @ theta_w
     return float((r_hi - r_lo) / 2.0 * np.sum(w * profile * pair))
+
+
+def uniform_angle_quadrature(pt, alpha, n, nodes=None, radius=1.0):
+    """``brlab.kernel.kernel_quadrature`` with one angular rule of G nodes at every radius.
+
+    G is the radial node count of ``kernel_quadrature``, and the table is
+    built and reduced in the same blocks of radial rows, so where every
+    radius of ``kernel_quadrature`` gets the G-node angular rule the two
+    give the same bits.  Returns the value and, as its scale, the same
+    quadrature of the integrand's absolute value (every weight is positive).
+    """
+    G = _auto_nodes(nodes, radius * pt.rho)
+    t, w = roots_jacobi(G, alpha, 0.0)
+    r = radius * (t + 1.0) / 2.0
+    smooth = (1.0 + r / radius) ** alpha * r ** (2 * n - 1)
+    cos_t, _, theta_w = _polar_angle_rule(G, n)
+    same = _point_radius(pt.x2) == _point_radius(pt.x1)
+    angular, absolute = np.empty(G), np.empty(G)
+    rows = max(1, kernel._TABLE_BLOCK // G)
+    for start in range(0, G, rows):
+        block = slice(start, start + rows)
+        lam = np.outer(r[block], cos_t).ravel()
+        first = sphere_ft(lam, pt.x1, n).reshape(-1, G)
+        second = first if same else sphere_ft(lam, pt.x2, n).reshape(-1, G)
+        product = first * second[:, ::-1]
+        angular[block] = product @ theta_w
+        absolute[block] = np.abs(product) @ theta_w
+    radial_factor = (radius / 2.0) * 2.0 ** (-alpha)
+    return (float(radial_factor * np.sum(w * smooth * angular)),
+            float(radial_factor * np.sum(w * smooth * absolute)))
 
 
 def full_table_kernel_apply(f: SampledField, g: SampledField, spec) -> np.ndarray:

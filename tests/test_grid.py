@@ -309,6 +309,20 @@ class TestFieldIO:
             assert back.grid == grid
             assert np.array_equal(back.values, f.values)
 
+    @pytest.mark.parametrize("grid", [Grid(1, 16, 4.0), Grid(2, 8, 2.0)])
+    def test_field_csv_is_the_generic_writer_output(self, tmp_path, grid):
+        # field_to_csv hands plain Python scalars to the writer; its bytes are
+        # those of write_rows on the numpy values, row by row in C order
+        specials = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1.7976931348623157e308, 0.1 + 0.2]
+        values = random_field(grid, seed=31).values.ravel().copy()
+        values[: len(specials)] = np.array(specials) + 1j * np.array(specials[::-1])
+        f = SampledField(grid, values.reshape(grid.shape))
+        field_to_csv(f, tmp_path / "field.csv")
+        header = [f"i{a}" for a in range(grid.n)] + ["re", "im"]
+        rows = [[*idx, f.values[idx].real, f.values[idx].imag] for idx in np.ndindex(grid.shape)]
+        write_rows(tmp_path / "generic.csv", header, rows)
+        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "generic.csv").read_bytes()
+
     def test_write_rows_format(self, tmp_path):
         # a float32 is written as the float64 it widens to, not its own
         # shortest text "0.1"

@@ -6,9 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from numpy.testing import assert_allclose
 from scipy.special import gammaln, roots_legendre
-from helpers import cli_artifact, polar_kj_kernel, read_csv_rows
+from helpers import cli_artifact, polar_kj_kernel, read_csv_rows, uniform_angle_quadrature
 
 from brlab import bessel, kernel
 from brlab.bessel import AccuracyWarning
@@ -200,7 +201,7 @@ class TestQuadrature:
         # carries an absolute rounding of that size, whichever way it is taken
         assert np.max(np.abs(sin_t - np.sin(theta))) <= 2 * np.finfo(float).eps
 
-    @pytest.mark.parametrize("nodes", [128, 129, 800, NODE_CAP])
+    @pytest.mark.parametrize("nodes", [128, 129, 192, 640, 800, NODE_CAP])
     def test_legendre_rule_is_bitwise_mirror_symmetric(self, nodes):
         # the shared sphere tables rely on this; a scipy change must fail here
         t, v = roots_legendre(nodes)
@@ -249,6 +250,86 @@ class TestQuadrature:
             kernel_quadrature(pt, 1.0, 2)
         with pytest.raises(ValueError):
             kernel_quadrature(pt, 1.0, 1, radius=-2.0)
+
+
+def split_point(rho, share, n):
+    """The point with |x1| = sqrt(share) rho and |x2| = sqrt(1 - share) rho."""
+    pad = (0.0,) * (n - 1)
+    return KernelPoint((rho * math.sqrt(share),) + pad, (rho * math.sqrt(1.0 - share),) + pad)
+
+
+class TestAngularRuleSizes:
+    """Each radial node r gets the angular rule its own r * rho cycles need."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("rho,R,nodes,alpha", [(3.3, 4.0, None, 0.5), (13.3, 1.0, None, 2.0),
+                                                   (20.0, 2.0, 224, 5.0), (40.0, 0.5, 800, 1.0)])
+    def test_bitwise_the_uniform_rule_where_the_floor_binds(self, n, rho, R, nodes, alpha):
+        # R rho <= 13.3 at the default floor of 128, or nodes >= 80 + 3.6 R rho:
+        # every radius gets the G-node rule
+        for share in (0.5, 0.2):
+            pt = split_point(rho, share, n)
+            got = kernel_quadrature(pt, alpha, n, nodes=nodes, radius=R)
+            assert got == uniform_angle_quadrature(pt, alpha, n, nodes=nodes, radius=R)[0]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])
+    def test_agrees_with_the_uniform_rule(self, n, alpha):
+        # measured: <= 1.6e-15 of the absolute-value sum, equal or unequal |x1|, |x2|
+        for rho, R, share in ((50.0, 4.0, 0.5), (50.0, 4.0, 0.1), (20.0, 2.0, 0.3),
+                              (50.0, 0.5, 0.5)):
+            pt = split_point(rho, share, n)
+            got = kernel_quadrature(pt, alpha, n, radius=R)
+            want, magnitude = uniform_angle_quadrature(pt, alpha, n, radius=R)
+            assert abs(got - want) <= 1e-13 * magnitude
+
+    @pytest.mark.parametrize("n,alpha", [(1, 0.5), (2, 5.0)])
+    def test_both_rules_agree_with_a_doubled_uniform_rule(self, n, alpha):
+        pt = split_point(50.0, 0.1, n)
+        G = kernel._auto_nodes(None, 4.0 * pt.rho)
+        reference = uniform_angle_quadrature(pt, alpha, n, nodes=2 * G, radius=4.0)[0]
+        uniform, magnitude = uniform_angle_quadrature(pt, alpha, n, radius=4.0)
+        for value in (kernel_quadrature(pt, alpha, n, radius=4.0), uniform):
+            assert abs(value - reference) <= 1e-13 * magnitude
+
+    def test_fewer_table_entries_in_bounded_calls(self, monkeypatch):
+        calls, sphere_ft = [], kernel.sphere_ft
+
+        def counted(lam, x, n):
+            calls.append(np.size(lam))
+            return sphere_ft(lam, x, n)
+
+        monkeypatch.setattr(kernel, "sphere_ft", counted)
+        G = 800  # rho = 50, R = 4: 200 cycles
+        # |x1| = |x2|: one table, 0.59 G^2 entries; |x1| != |x2|: two such tables
+        for share, tables in ((0.5, 1), (0.3, 2)):
+            calls.clear()
+            kernel_quadrature(split_point(50.0, share, 2), 2.0, 2, radius=4.0)
+            assert sum(calls) < tables * G * G * 0.6
+            assert max(calls) <= kernel._TABLE_BLOCK
+
+    def test_rule_sizes_stay_on_the_ladder(self):
+        assert kernel._ladder(np.array([1, 64, 65, 1024, 1025, 2048, 2049, 2944])).tolist() == [
+            64, 64, 128, 1024, 1152, 2048, 2112, 3072]
+        # a quadrature at the node cap asks for 29 angular rule sizes
+        sizes = {min(NODE_CAP, int(kernel._ladder(k))) for k in range(128, NODE_CAP + 1)}
+        assert len(sizes) == 29 and all(k % 64 == 0 for k in sizes - {NODE_CAP})
+
+    def test_rule_memo_does_not_churn(self, monkeypatch):
+        # the size classes of one G = 800 quadrature, its radial rule and its
+        # G rule all stay in the memo: a repeat builds nothing
+        builds = []
+        monkeypatch.setattr(bessel, "_RULES", {})
+        for provider in (bessel.roots_jacobi, kernel.roots_legendre):
+            build = getattr(scipy.special, provider.name)
+            monkeypatch.setattr(provider, "fn",
+                                lambda *args, build=build: builds.append(args) or build(*args))
+        pt = split_point(50.0, 0.5, 1)
+        first = kernel_quadrature(pt, 1.0, 1, radius=4.0)
+        assert 2 < len(builds) <= -(-800 // 64) + 2
+        builds.clear()
+        assert kernel_quadrature(pt, 1.0, 1, radius=4.0) == first
+        assert builds == []
 
 
 class TestDilation:
@@ -340,6 +421,23 @@ class TestKjKernel:
             single = np.array([kj_kernel(pt, piece, n, BUMP) for pt in points])
             assert isinstance(batch, np.ndarray)
             assert np.array_equal(batch, single)
+
+    def test_node_ladder_past_120_cycles(self, monkeypatch):
+        # j = 0 spans (r_hi - r_lo) = 0.707, so rho in [200, 400] is 141..283
+        # cycles, 589..1100 nodes unrounded; rho = 0 sets max|K_j|
+        rhos = [0.0, *np.linspace(200.0, 400.0, 9)]
+        points = [KernelPoint(rho, 0.0) for rho in rhos]
+        piece = DyadicPiece(0, 2.0)
+        requested, roots = [], kernel.roots_legendre
+        monkeypatch.setattr(kernel, "roots_legendre", lambda k: requested.append(k) or roots(k))
+        with pytest.warns(AccuracyWarning, match="oscillation budget"):
+            rounded = kj_kernel(points, piece, 1, BUMP)
+        assert sum(k > 512 for k in requested) >= 2
+        assert all(k % 64 == 0 for k in requested)
+        monkeypatch.setattr(kernel, "_ladder", lambda k: k)
+        with pytest.warns(AccuracyWarning):
+            unrounded = kj_kernel(points, piece, 1, BUMP)
+        assert np.max(np.abs(rounded - unrounded)) <= 1e-13 * np.max(np.abs(unrounded))
 
     def test_batch_warns_once_per_out_of_budget_point(self):
         points = [KernelPoint(60.0, 0.0), KernelPoint(1.0, 0.5), KernelPoint(0.0, 70.0)]
