@@ -153,21 +153,36 @@ def uniform_angle_quadrature(pt, alpha, n, nodes=None, radius=1.0):
             float(radial_factor * np.sum(w * smooth * absolute)))
 
 
-def full_table_kernel_apply(f: SampledField, g: SampledField, spec) -> np.ndarray:
-    """``brlab.operators.br_apply_kernel``'s shell sum on its full U x U table.
+def shell_radii(grid: Grid) -> np.ndarray:
+    """The distinct minimum-image radii of the grid points (the shells), increasing."""
+    return np.sqrt(np.unique(sum(d**2 for d in grid.wrapped_delta([0.0] * grid.n))))
 
-    Evaluates ``kernel_radial`` at every (shell, shell) entry instead of once
-    per distinct |x1|^2 + |x2|^2, with the same shells, FFTs and order of
-    accumulation, so its output is what the apply computes bit for bit.
+
+def shell_table(grid: Grid, spec):
+    """Shell index of every grid point and the full U x U kernel table over the shells.
+
+    Shells are the distinct squared minimum-image radii, in increasing order;
+    entry (u, u') is ``kernel_radial`` at sqrt(s_u + s_u'), evaluated entry
+    by entry.
     """
-    grid = f.grid
     half = grid.N // 2
     signed = ((np.arange(grid.N) + half) % grid.N - half) * grid.spacing
     unique_sq, shell = np.unique(sum(np.meshgrid(*([signed**2] * grid.n), indexing="ij")),
                                  return_inverse=True)
-    shell = shell.reshape(grid.shape)
     table = kernel_radial(np.sqrt(np.add.outer(unique_sq, unique_sq)), spec.alpha, grid.n,
                           spec.radius)
+    return shell.reshape(grid.shape), table
+
+
+def full_table_kernel_apply(f: SampledField, g: SampledField, spec) -> np.ndarray:
+    """``brlab.operators.br_apply_kernel``'s shell sum on its full U x U table.
+
+    Evaluates ``kernel_radial`` at every (shell, shell) entry and adds one
+    term per shell u, (f * 1_u)(g * K_u) with K_u(x2) = K(u, |x2|^2), by
+    4U + 2 FFTs, with no factorization.
+    """
+    grid = f.grid
+    shell, table = shell_table(grid, spec)
     F_hat, G_hat = np.fft.fftn(f.values), np.fft.fftn(g.values)
     out = np.zeros(grid.shape, dtype=np.complex128)
     for u, row in enumerate(table):

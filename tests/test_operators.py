@@ -37,9 +37,23 @@ from helpers import (
     literal_pair_sum,
     random_field,
     rel_l2,
+    shell_radii,
+    shell_table,
 )
 
 GRID_1D = Grid(1, 256, 16.0)
+
+
+def count_transforms(monkeypatch) -> list:
+    """Patch ``np.fft.fftn`` and ``ifftn`` to log each call in the returned list."""
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _fft=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
 
 
 def delta_field(grid: Grid) -> SampledField:
@@ -423,8 +437,8 @@ class TestKernelPath:
         "grid", [Grid(1, 256, 32.0), Grid(2, 16, 4.0), Grid(2, 32, 8.0)], ids=["1d", "2d-16", "2d-32"]
     )
     def test_one_kernel_value_per_distinct_radius(self, grid, monkeypatch):
-        # the kernel runs once per distinct |x1|^2 + |x2|^2, and the apply is
-        # bitwise the one that evaluates the full shell x shell table
+        # the kernel runs once per distinct |x1|^2 + |x2|^2, and the factored
+        # apply agrees with the shell-by-shell sum over the full table
         f, g = random_field(grid, seed=54), random_field(grid, seed=55)
         spec = MultiplierSpec(alpha=2.0, radius=1.5)
         seen, kernel_radial = [], operators.kernel_radial
@@ -434,10 +448,72 @@ class TestKernelPath:
             return kernel_radial(rho, *args)
 
         monkeypatch.setattr(operators, "kernel_radial", recorded)
-        out = br_apply_kernel(f, g, spec)
+        out = br_apply_kernel(f, g, spec).values
         (rho,) = seen
         assert rho.ndim == 1 and np.unique(rho).size == rho.size
-        assert out.values.tobytes() == full_table_kernel_apply(f, g, spec).tobytes()
+        expected = full_table_kernel_apply(f, g, spec)
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("radius", [1.0, 1.5])
+    @pytest.mark.parametrize(
+        "grid", [Grid(1, 256, 32.0), Grid(1, 32, 8.0), Grid(2, 32, 8.0), Grid(2, 8, 4.0)],
+        ids=["1d-256", "1d-32", "2d-32", "2d-8"],
+    )
+    def test_factored_table_meets_its_residual_bound(self, grid, alpha, radius):
+        _, table = shell_table(grid, MultiplierSpec(alpha, radius))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            lam, V = operators._low_rank(table, shell_radii(grid))
+        size = table.shape[0]
+        bound = size * np.finfo(float).eps * np.max(np.abs(table))
+        assert np.max(np.abs(table - (V * lam) @ V.T)) <= bound
+        assert np.all(np.abs(lam) > bound)
+
+    def test_rank_is_small_on_the_bench_grid(self):
+        grid = Grid(2, 64, 8.0)
+        _, table = shell_table(grid, MultiplierSpec(alpha=2.0))
+        lam, _ = operators._low_rank(table, shell_radii(grid))
+        assert table.shape[0] == 457 and lam.size <= 32
+
+    def test_transform_count_is_three_per_term_plus_two(self, monkeypatch):
+        grid = Grid(2, 32, 8.0)
+        f, g = random_field(grid, seed=56), random_field(grid, seed=57)
+        spec = MultiplierSpec(alpha=2.0)
+        table = shell_table(grid, spec)[1]
+        rank = operators._low_rank(table, shell_radii(grid))[0].size
+        calls = count_transforms(monkeypatch)
+        br_apply_kernel(f, g, spec)
+        assert len(calls) <= 3 * rank + 2 < 4 * table.shape[0] + 2
+
+    def test_high_rank_table_is_factored_whole(self):
+        # 1-D, L = N: the rank is near U = 65, so the doubling reaches the
+        # whole table and still agrees with the shell-by-shell sum
+        grid = Grid(1, 128, 128.0)
+        f, g = random_field(grid, seed=60), random_field(grid, seed=61)
+        spec = MultiplierSpec(alpha=2.0)
+        _, table = shell_table(grid, spec)
+        lam, _ = operators._low_rank(table, shell_radii(grid))
+        assert lam.size > 32
+        out = br_apply_kernel(f, g, spec).values
+        expected = full_table_kernel_apply(f, g, spec)
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_residual_over_its_bound_warns(self, monkeypatch):
+        # eigenvalues off by a relative 1e-9 leave a residual past U eps max|K|
+        # even on the whole basis (17 shells), and the apply says so
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0] * (1 + 1e-9), eigh(a)[1]))
+        f = random_field(Grid(1, 32, 8.0), seed=62)
+        with pytest.warns(AccuracyWarning, match="over its bound"):
+            br_apply_kernel(f, f, MultiplierSpec(alpha=2.0))
+
+    def test_repeated_calls_are_bitwise_equal(self):
+        grid = Grid(2, 32, 8.0)
+        f, g = random_field(grid, seed=58), random_field(grid, seed=59)
+        spec = MultiplierSpec(alpha=1.5, radius=1.5)
+        first = br_apply_kernel(f, g, spec).values.tobytes()
+        assert br_apply_kernel(f, g, spec).values.tobytes() == first
 
     def test_budget_counts_shells_times_points(self):
         # 42 distinct squared minimum-image radii on 16 x 16 points
