@@ -240,12 +240,16 @@ def sphere_ft(lam, x, n: int):
         out = 2.0 * np.cos(z)
         return float(out[0]) if scalar else out
     nu = (n - 2) / 2.0
-    out = np.empty_like(lam_arr)
     tiny = z < 1e-6
+    big = ~tiny if tiny.any() else slice(None)  # no masked copies when nothing is tiny
+    scale = 2.0 * math.pi  # (lam |x|)^(-nu) is 1 at n = 2
+    if nu != 0:
+        scale = scale * (lam_arr[big] * radius) ** (-nu)
+    far = scale * bessel_j(nu, z[big])
+    if isinstance(big, slice):
+        return float(far[0]) if scalar else far
+    out = np.empty_like(lam_arr)
     # removable singularity: the transform tends to the sphere's surface area
     out[tiny] = _surface_area(n) * (1.0 - (z[tiny] ** 2) / (4.0 * (nu + 1.0)))
-    big = ~tiny
-    if np.any(big):
-        zr = z[big]
-        out[big] = 2.0 * math.pi * (lam_arr[big] * radius) ** (-nu) * bessel_j(nu, zr)
+    out[big] = far
     return float(out[0]) if scalar else out

@@ -10,6 +10,7 @@ estimate deterministic and reproducible from its stored witnesses.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -182,6 +183,19 @@ def _perturb(
     return f + (_PERTURB_SIZE * lp_norm(f, 2) / size) * noise
 
 
+def _shared_perturb(slot: list, f: SampledField, infinite: bool, step_noise, p) -> tuple:
+    """``_perturb(f, infinite, *step_noise)`` and its L^p norm, kept in ``slot``.
+
+    ``slot`` holds a weak reference to the field it last perturbed, that
+    candidate and its norm.  A call on the same field (by identity) returns
+    them; any other call builds afresh and overwrites the slot.
+    """
+    if not slot or slot[0]() is not f:
+        cand = _perturb(f, infinite, *step_noise)
+        slot[:] = weakref.ref(f), cand, lp_norm(cand, p)
+    return slot[1], slot[2]
+
+
 @dataclass(frozen=True)
 class NormEstimate:
     """A certified operator-norm lower bound with its achieving witnesses."""
@@ -212,13 +226,20 @@ def estimate_bilinear_norm(
     Deterministic given ``seed``; more trials never lower the result (the
     maximum runs over a superset, reduced in index order with strict
     improvement).  Each catalog field's norm and each climb candidate's is
-    computed once; every ratio is lp_norm(T(f, g), p) / (lp_norm(f, p1)
+    computed once, and so is each catalog pair's ratio (a climb starts from
+    its sweep value); every ratio is lp_norm(T(f, g), p) / (lp_norm(f, p1)
     lp_norm(g, p2)) in that order.
 
     ``op`` is one bilinear operator, giving one :class:`NormEstimate`, or a
     sequence of them, giving a tuple whose entry i is bitwise the estimate of
     ``op[i]`` alone: the catalogs, their norms, each trial's start pair and
-    climb noise are built once and every operator is searched on them.
+    climb noise are built once and every operator is searched on them.  The
+    climbs share their candidates too: one slot per (trial, step) keeps the
+    last candidate built there, with its norm and (once an operator has
+    transformed it) its spectrum, and an operator whose current field is
+    that candidate's source reuses it.  So at most ``trials * CLIMB_STEPS``
+    candidates live at once: about 0.8 MB for 2 trials at N = 256 in 1-D.
+    A single operator shares with none and keeps no slot past its step.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
@@ -236,29 +257,30 @@ def estimate_bilinear_norm(
             starts.append((int(rng.integers(0, len(cat_f))), int(rng.integers(0, len(cat_g)))))
         noises.append(_climb_noise(grid, rng))
 
-    def search(op) -> NormEstimate:
+    def search(op, slots) -> NormEstimate:
         best_value = 0.0
         best = (cat_f[0][1], cat_g[0][1], cat_f[0][0], cat_g[0][0])
-        for start, noise in zip(starts, noises):
+        sweep = {}  # each catalog pair's ratio, for trial 0 and the restarts
+        for start, noise, trial_slots in zip(starts, noises, slots):
             if start is None:
                 pair_best, start = 0.0, (0, 0)
                 for fi, (_, f) in enumerate(cat_f):
                     for gi, (_, g) in enumerate(cat_g):
                         value = _ratio(op, f, g, p, norm_f[fi] * norm_g[gi])
+                        sweep[fi, gi] = value
                         if value > pair_best:
                             pair_best, start = value, (fi, gi)
             fi, gi = start
             (id_f, f), (id_g, g) = cat_f[fi], cat_g[gi]
-            nf, ng = norm_f[fi], norm_g[gi]
-            current = _ratio(op, f, g, p, nf * ng)
+            nf, ng, current = norm_f[fi], norm_g[gi], sweep[start]
             accepted = 0
-            for step, step_noise in enumerate(noise):
+            for step, (step_noise, slot) in enumerate(zip(noise, trial_slots)):
                 if step % 2 == 0:
-                    cand_f, cand_g = _perturb(f, inf_f, *step_noise), g
-                    cand_nf, cand_ng = lp_norm(cand_f, p1), ng
+                    cand_f, cand_nf = _shared_perturb(slot, f, inf_f, step_noise, p1)
+                    cand_g, cand_ng = g, ng
                 else:
-                    cand_f, cand_g = f, _perturb(g, inf_g, *step_noise)
-                    cand_nf, cand_ng = nf, lp_norm(cand_g, p2)
+                    cand_f, cand_nf = f, nf
+                    cand_g, cand_ng = _shared_perturb(slot, g, inf_g, step_noise, p2)
                 value = _ratio(op, cand_f, cand_g, p, cand_nf * cand_ng)
                 if value > current:
                     current, f, g, nf, ng = value, cand_f, cand_g, cand_nf, cand_ng
@@ -270,9 +292,11 @@ def estimate_bilinear_norm(
         f, g, id_f, id_g = best
         return NormEstimate(best_value, f, g, ep, int(trials), int(seed), id_f, id_g)
 
-    if callable(op):
-        return search(op)
-    return tuple(search(one) for one in op)
+    if callable(op):  # nothing to share: each slot lives for its step only
+        return search(op, (([] for _ in noise) for noise in noises))
+    # one candidate slot per (trial, step), shared by the operators' climbs
+    slots = [[[] for _ in noise] for noise in noises]
+    return tuple(search(one, slots) for one in op)
 
 
 @dataclass(frozen=True)

@@ -285,6 +285,14 @@ class TestSphereFt:
         singles = np.array([sphere_ft(l, [0.3, 0.4], 2) for l in lams])
         assert_allclose(out, singles, rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tiny_arguments_leave_the_others_bitwise(self, n):
+        lams = np.linspace(0.5, 3.0, 17)
+        alone = sphere_ft(lams, [0.3, 0.4], n)
+        mixed = sphere_ft(np.concatenate([[1e-9], lams]), [0.3, 0.4], n)
+        assert mixed[0] == pytest.approx(sphere_ft(1.0, [0.0, 0.0], n), rel=1e-12)
+        assert mixed[1:].tobytes() == alone.tobytes()
+
     def test_continuity_at_small_argument(self):
         # the series branch and Bessel branch meet smoothly near z ~ 1e-6
         below = sphere_ft(1.0, [1e-7 / (2 * math.pi), 0.0], 2)

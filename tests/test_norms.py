@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -309,6 +310,105 @@ class TestTransformMemos:
         assert rebuilt[0][1] is not again[0][1]
         for (_, a), (_, b) in zip(rebuilt, again, strict=True):
             assert a.values.tobytes() == b.values.tobytes()
+
+
+class TestSharedClimb:
+    """The operators of one search share their climb candidates, and a climb
+    starts from its pair's sweep value."""
+
+    GRID = Grid(1, 256, 32.0)
+    LEVELS = range(9)
+
+    # at seed 9001 every level climbs from the same pair and accepts no step,
+    # so each (trial, step) candidate serves all nine levels
+    def test_one_candidate_per_trial_step(self, monkeypatch):
+        built, perturb = [0], norms._perturb
+
+        def counted(*args):
+            built[0] += 1
+            return perturb(*args)
+
+        monkeypatch.setattr(norms, "_perturb", counted)
+        decay_fit(tj_family(2.0), (1, 1), self.GRID, self.LEVELS, 2, seed=9001)
+        assert built[0] == 2 * norms.CLIMB_STEPS
+
+    def test_applies_per_level_are_sweep_and_climb(self):
+        applies = [0]
+
+        def family(j):
+            apply = tj_family(2.0)(j)
+
+            def op(f, g):
+                applies[0] += 1
+                return apply(f, g)
+
+            return op
+
+        decay_fit(family, (1, 1), self.GRID, self.LEVELS, 2, seed=9001)
+        pairs = len(witness_catalog(self.GRID, False, 9001)) * len(
+            witness_catalog(self.GRID, False, 9002)
+        )
+        assert pairs == 144
+        assert applies[0] == len(self.LEVELS) * (pairs + 2 * norms.CLIMB_STEPS)
+
+    # at (4/3, 2) the levels start from other pairs and accept other steps,
+    # so slots are overwritten; a candidate outlives its slot only as the
+    # witness of an estimate already made
+    def test_live_candidates_bounded_by_slots(self, monkeypatch):
+        refs, live, perturb = [], [], norms._perturb
+
+        def tracked(*args):
+            live.append([i for i, ref in enumerate(refs) if ref() is not None])
+            cand = perturb(*args)
+            refs.append(weakref.ref(cand))
+            return cand
+
+        monkeypatch.setattr(norms, "_perturb", tracked)
+        trials = 2
+        fit = decay_fit(tj_family(2.0), ("4/3", 2), Grid(1, 64, 8.0), self.LEVELS, trials, 9001)
+        assert len(refs) > trials * norms.CLIMB_STEPS  # the slots were overwritten
+        # the fit holds its witnesses; every other candidate is gone
+        witnesses = {i for i, ref in enumerate(refs) if ref() is not None}
+        assert len(witnesses) <= 2 * len(fit.estimates)
+        assert witnesses  # some estimates are climb candidates
+        peak = max(len(set(alive) - witnesses) for alive in live)
+        assert 0 < peak <= trials * norms.CLIMB_STEPS
+
+    def test_single_operator_keeps_no_slots(self, monkeypatch):
+        refs, peak, perturb = [], [0], norms._perturb
+
+        def tracked(*args):
+            peak[0] = max(peak[0], sum(ref() is not None for ref in refs))
+            cand = perturb(*args)
+            refs.append(weakref.ref(cand))
+            return cand
+
+        monkeypatch.setattr(norms, "_perturb", tracked)
+        op = tj_family(2.0)(2)
+        estimate_bilinear_norm(op, ("4/3", 2), Grid(1, 64, 8.0), 2, seed=9001)
+        # the climbs' current and best fields and the last step's candidates
+        assert peak[0] <= 6
+
+    @pytest.mark.parametrize(
+        "exponents,grid",
+        [((1, 1), GRID), (("4/3", 2), Grid(1, 64, 8.0)), ((math.inf, 1), GRID),
+         ((2, math.inf), Grid(2, 16, 8.0))],
+        ids=["1-1", "4/3-2", "inf-1", "2-inf-2d"],
+    )
+    def test_unshared_candidates_give_the_same_estimates(self, monkeypatch, exponents, grid):
+        def fit():
+            return decay_fit(tj_family(2.0), exponents, grid, range(5), 2, seed=9001)
+
+        shared = fit()
+
+        def unshared(slot, f, infinite, step_noise, p):
+            cand = norms._perturb(f, infinite, *step_noise)
+            return cand, lp_norm(cand, p)
+
+        monkeypatch.setattr(norms, "_shared_perturb", unshared)
+        alone = fit()
+        assert shared.norms == alone.norms
+        _assert_same_estimates(shared.estimates, alone.estimates)
 
 
 class TestLemma1Scaling:
