@@ -247,13 +247,21 @@ def _rel_l2(a, b) -> float:
     return lp_norm(a - b, 2) / scale
 
 
-def _grid_from_args(args) -> Grid:
-    return Grid(args.n, args.N, args.L)
+def _grid_from_args(args, ball: bool = False) -> Grid:
+    """The flags' grid; ``ball`` refuses one whose lattice misses the unit ball."""
+    grid = Grid(args.n, args.N, args.L)
+    if ball and grid.L > grid.N / 2:
+        raise CliError(
+            "L",
+            f"L={grid.L:g}: the frequency lattice ends at N/(2L) = {grid.N / (2 * grid.L):g} < 1,"
+            f" inside the multiplier's unit ball; use L <= N/2 = {grid.N // 2}",
+        )
+    return grid
 
 
 def _cmd_evaluate(args, run_dir: str) -> dict:
     alpha = _required(args, "alpha", "to evaluate the means")
-    grid = _grid_from_args(args)
+    grid = _grid_from_args(args, ball=True)
     paths = args.paths
     # refuse before any output is written
     if "kernel" in paths:
@@ -341,7 +349,7 @@ def _cmd_decay(args, run_dir: str) -> dict:
     if len(j_range) < 4:
         raise CliError("j_range", "decay fit needs at least 4 levels in j_range")
     seed = _required(args, "seed", "for randomized experiments")
-    grid = _grid_from_args(args)
+    grid = _grid_from_args(args, ball=True)
     exponents = ExponentPair(args.p1, args.p2)
     budget = args.budget
 
@@ -482,7 +490,7 @@ def _cmd_kernel(args, run_dir: str) -> dict:
 
 def _cmd_norms(args, run_dir: str) -> dict:
     seed = _required(args, "seed", "for randomized experiments")
-    grid = _grid_from_args(args)
+    grid = _grid_from_args(args, ball=args.experiment == "corollary")
     if args.experiment == "lemma1":
         p = _required(args, "p", "for the scaling experiment")
         report = lemma1_scaling_experiment(p, args.b, args.widths, grid, seed)

@@ -128,11 +128,12 @@ def t_j_apply(
     """One dyadic piece of the bilinear operator, by the frequency double sum.
 
     The slice weight is evaluated once per (piece, bump, grid) into a pair
-    plan of 32 bytes per nonzero-weight pair (at most 32 bytes times the
-    P^2 budget), which later applies of the same piece (equal by value),
-    bump (the same object) and grid reuse.  Only the last plan is kept, and
-    it is dropped before the next one is built.  ``budget`` caps the P^2
-    in-ball pairs on every call.
+    plan, one flat set of 32 bytes per nonzero-weight pair (at most 32 bytes
+    times the P^2 budget; its build needs up to 8 more), which later applies
+    of the same piece (equal by value), bump (the same object) and grid
+    reuse, each in one scatter with no running totals.  Only the last plan
+    is kept, and it is dropped before the next one is built.  ``budget``
+    caps the P^2 in-ball pairs on every call.
     """
     grid = _require_same_grid(f, g)
     key = _last_plan[0]

@@ -244,7 +244,7 @@ def estimate_bilinear_norm(
     if trials < 1:
         raise ValueError(f"need at least one trial, got trials={trials}")
     ep = _as_pair(exponents)
-    p1, p2, p = ep.p1, ep.p2, ep.p
+    p1, p2, p = (float(e) for e in (ep.p1, ep.p2, ep.p))  # lp_norm's own conversion, once
     inf_f, inf_g = ep.inv1 == 0, ep.inv2 == 0
     cat_f = witness_catalog(grid, inf_f, seed)
     cat_g = witness_catalog(grid, inf_g, seed + 1)

@@ -27,7 +27,7 @@ from .kernel import kernel_radial
 #: a pair plan holds 32 bytes per nonzero-weight pair, at most 32 x this (2 GiB)
 DEFAULT_BUDGET = 1 << 26
 #: most frequency pairs the engine weighs at once, which bounds its working memory;
-#: a pair plan keeps the nonzero-weight pairs of all its blocks, 32 bytes each
+#: a pair plan joins the nonzero-weight pairs of all its blocks into one set, 32 bytes each
 _PAIR_BLOCK = 1 << 18
 #: table rows per block of the kernel table's residual check
 _RESIDUAL_ROWS = 32
@@ -129,9 +129,10 @@ class PairPlan:
     """The nonzero-weight pairs of one weight on one grid, for repeated applies.
 
     Built by :func:`pair_plan`; ``count`` is the number P of kept lattice
-    points, so an apply is charged P^2 pairs whatever the plan keeps.  Each
-    block holds its pairs as index arrays, 32 bytes per pair (two point
-    indices, a weight and a target).
+    points, so an apply is charged P^2 pairs whatever the plan keeps.
+    ``blocks`` holds one flat set of pairs (none when no weight is nonzero)
+    as index arrays, 32 bytes per pair (two point indices, a weight and a
+    target), in increasing xi order.
     """
 
     grid: Grid
@@ -155,41 +156,50 @@ def pair_plan(
     Pass the plan to :func:`bilinear_frequency_apply` in place of the weight
     to apply the same operator again without re-evaluating it; the outputs
     are bitwise those of the weight itself.  ``budget`` caps the P^2 pairs
-    weighed, and the plan holds at most 32 bytes per pair of that budget.
+    weighed.  The pairs are weighed in blocks of at most ``_PAIR_BLOCK``
+    and joined into one flat set, one field at a time, so the plan holds
+    32 bytes per kept pair (at most 32 bytes per pair of the budget) and
+    its build at most 8 more.
     """
     keep, radii_sq = _in_ball(grid, support_radius)
     _check_budget(radii_sq.size**2, budget)
-    blocks = []
+    fields = [[], [], [], []]
     for (rows, _), _, weight, target in _pair_blocks(grid, weight_of_square_sum, keep, radii_sq):
-        first, second = np.nonzero(weight)
-        if first.size:
-            kept = (first, second)
-            blocks.append((first + rows.start, second, weight[kept], target[kept]))
-    return PairPlan(grid, float(support_radius), keep, radii_sq.size, tuple(blocks))
+        kept = np.nonzero(weight)
+        for field, part in zip(fields, (kept[0] + rows.start, kept[1], weight[kept], target[kept])):
+            field.append(part)
+    # a field's parts go as soon as they are joined: at most 8 extra bytes per kept pair
+    flat = tuple(np.concatenate(fields.pop(0)) for _ in range(4))
+    blocks = (flat,) if flat[0].size else ()
+    return PairPlan(grid, float(support_radius), keep, radii_sq.size, blocks)
 
 
 def _pair_sum(f: SampledField, g: SampledField, keep, blocks) -> SampledField:
-    """Scatter each block's pair products onto the running totals, then invert.
+    """Scatter the blocks' pair products onto the lattice totals, then invert.
 
-    Each target xi + eta sums its pair products in increasing xi order, and
-    every block starts from the running totals, so the output bits depend
-    neither on the block size nor on whether zero-weight pairs (which add
-    a signed zero) are kept.
+    The first block is scattered onto fresh totals (``np.bincount`` starts
+    each at +0.0), with no running totals to copy; each later block onto the
+    running totals, placed first.  So every target xi + eta sums its pair
+    products in increasing xi order from +0.0, never reaching -0.0, and the
+    output bits depend neither on the block size nor on whether zero-weight
+    pairs (which add a signed zero) are kept.
     """
     grid = f.grid
     F = dft_forward(f).values[keep]
     G = dft_forward(g).values[keep]
-    lattice = np.arange(grid.N**grid.n)
-    re = im = np.zeros(lattice.size)
-    for first, second, weight, target in blocks:
+    size = grid.N**grid.n
+    acc = np.zeros(size, dtype=np.complex128)
+    for later, (first, second, weight, target) in enumerate(blocks):
         pairs = ((F[first] * weight) * G[second]).ravel()
-        target = np.concatenate([lattice, target.ravel()])
-        re = np.bincount(target, np.concatenate([re, pairs.real]))
-        im = np.bincount(target, np.concatenate([im, pairs.imag]))
-    acc = (re + 1j * im).reshape(grid.shape)
+        if later:
+            target = np.concatenate([np.arange(size), target.ravel()])
+            pairs = np.concatenate([acc, pairs])
+        acc.real = np.bincount(target.ravel(), pairs.real, size)
+        acc.imag = np.bincount(target.ravel(), pairs.imag, size)
+    ifft = np.fft.ifft if grid.n == 1 else np.fft.ifftn
     # dft_inverse, then the pair measure 1/L^n, as one field
     scale = (grid.N / grid.L) ** grid.n
-    return SampledField(grid, np.fft.ifftn(acc) * scale * complex(1.0 / grid.L**grid.n))
+    return SampledField(grid, ifft(acc.reshape(grid.shape)) * scale * complex(1.0 / grid.L**grid.n))
 
 
 def bilinear_frequency_apply(
@@ -205,11 +215,12 @@ def bilinear_frequency_apply(
     values and must vanish beyond ``support_radius``^2; it is evaluated
     block by block, with at most ``_PAIR_BLOCK`` pairs in memory.  It may
     also be a :class:`PairPlan` built for this grid and radius, which
-    applies without evaluating the weight and holds 32 bytes per
-    nonzero-weight pair, at most 32 bytes times the P^2 budget it was
-    built under; :func:`~brlab.decomposition.t_j_apply` keeps one plan
-    alive at a time.  ``budget`` caps the P^2 pairs visited, on every
-    call.  The result is bit-reproducible.
+    applies without evaluating the weight: its one flat set of 32 bytes per
+    nonzero-weight pair (at most 32 bytes times the P^2 budget it was built
+    under) is scattered at once, with no running totals.
+    :func:`~brlab.decomposition.t_j_apply` keeps one plan alive at a time.
+    ``budget`` caps the P^2 pairs visited, on every call.  The result is
+    bit-reproducible.
     """
     grid = _require_same_grid(f, g)
     if isinstance(weight_of_square_sum, PairPlan):

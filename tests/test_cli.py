@@ -62,6 +62,29 @@ class TestValidation:
         assert record["error"] == "validation"
         assert record["key"] == "alpha"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # used to exit 0 with an oracle-vs-kernel error of 1.39
+            ["evaluate", "--alpha", "2", "--N", "64", "--L", "40", "--paths", "oracle,kernel"],
+            ["decay", "--mode", "tj", "--alpha", "2", "--N", "64", "--L", "60", "--seed", "1"],
+            ["norms", "--experiment", "corollary", "--alpha", "2", "--N", "64", "--L", "40",
+             "--seed", "1"],
+        ],
+        ids=["evaluate", "decay-tj", "corollary"],
+    )
+    def test_lattice_short_of_the_unit_ball_names_L(self, argv, tmp_path, capsys):
+        rc, _ = run_cli(argv, tmp_path)
+        assert rc == 2
+        record = read_error(capsys)
+        assert (record["error"], record["key"]) == ("validation", "L")
+        assert "N/(2L)" in record["message"]
+        assert os.listdir(tmp_path) == []
+
+    def test_lattice_reaching_the_unit_sphere_runs(self, tmp_path):
+        argv = ["evaluate", "--alpha", "2", "--N", "64", "--L", "32", "--paths", "oracle"]
+        assert run_cli(argv, tmp_path)[0] == 0
+
     def test_short_j_range_rejected(self, tmp_path, capsys):
         rc, _ = run_cli(
             ["decay", "--mode", "tj", "--alpha", "2", "--j-range", "0:0",

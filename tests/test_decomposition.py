@@ -251,6 +251,31 @@ class TestPairPlan:
             assert kept == np.count_nonzero(weight)
         assert kept == 24  # level 8 keeps 24 of 65^2 pairs at L = 32
 
+    def test_plan_is_one_flat_set_whatever_the_block_size(self, plan_builds, monkeypatch):
+        monkeypatch.setattr(operators, "_PAIR_BLOCK", 100)  # weighed one xi row at a time
+        f = random_field(Grid(1, 256, 32.0), seed=83)
+        t_j_apply(f, f, DyadicPiece(8, 2.0), BUMP)
+        blocks = decomposition._last_plan[1].blocks
+        assert len(blocks) == 1
+        first, second, weight, target = blocks[0]
+        assert first.size == second.size == weight.size == target.size == 24
+        assert np.all(weight != 0)
+        assert np.all(np.diff(first) >= 0)  # increasing xi, the order every target sums in
+
+    @pytest.mark.parametrize("grid", [Grid(1, 256, 32.0), Grid(2, 16, 4.0)], ids=["1d", "2d"])
+    def test_empty_plan_and_zero_input_give_positive_zeros(self, plan_builds, grid):
+        # the scatter starts every target at +0.0 and no total reaches -0.0,
+        # which is what makes the first block's running totals unneeded
+        f = random_field(grid, seed=89)
+        zero = SampledField(grid, np.zeros(grid.shape))
+        outputs = [t_j_apply(f, f, DyadicPiece(40, 2.0), BUMP).values]
+        assert decomposition._last_plan[1].blocks == ()
+        outputs += [t_j_apply(u, v, DyadicPiece(0, 2.0), BUMP).values
+                    for u, v in ((zero, zero), (f, zero), (zero, f))]
+        for out in outputs:
+            assert np.all(out == 0)
+            assert not np.signbit(out.real).any() and not np.signbit(out.imag).any()
+
     def test_piece_bump_or_grid_change_rebuilds(self, plan_builds):
         grid = Grid(1, 64, 16.0)
         f, g = random_field(grid, seed=84), random_field(grid, seed=85)

@@ -277,6 +277,16 @@ class TestOraclePath:
         c = br_apply_oracle(f, g, spec)
         assert np.array_equal(a.values, c.values)
 
+    @pytest.mark.parametrize("grid", [Grid(1, 256, 32.0), Grid(2, 16, 4.0)], ids=["1d", "2d"])
+    def test_many_blocks_give_the_one_block_bits(self, monkeypatch, grid):
+        # one block by default; under 100 pairs a block the later blocks
+        # scatter onto the first one's running totals
+        f, g = random_field(grid, seed=35), random_field(grid, seed=36)
+        spec = MultiplierSpec(alpha=2.0)
+        whole = br_apply_oracle(f, g, spec).values
+        monkeypatch.setattr(operators, "_PAIR_BLOCK", 100)
+        assert np.array_equal(br_apply_oracle(f, g, spec).values, whole)
+
     def test_dilation_is_exact_on_rescaled_grid(self):
         # radius R on box L equals radius 1 on box R*L with identical samples
         rng = np.random.default_rng(5)
