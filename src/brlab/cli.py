@@ -326,8 +326,9 @@ def _cmd_decay(args, run_dir: str) -> dict:
     j_range = args.j_range
     if args.mode == "gamma":
         report = gamma_decay_check(alpha, args.delta, j_range, range(args.k_max + 1), bump)
+        sup, normalized = report.sup_table.tolist(), report.normalized.tolist()
         rows = (
-            [j, k, report.sup_table[i, c], report.normalized[i, c]]
+            [j, k, sup[i][c], normalized[i][c]]
             for i, j in enumerate(report.levels)
             for c, k in enumerate(report.k_values)
         )

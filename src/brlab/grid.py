@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import chain, starmap
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -382,22 +383,56 @@ def modulate(f: SampledField, freq) -> SampledField:
     return SampledField(f.grid, f.values * np.exp(2j * math.pi * phase))
 
 
-def write_rows(path, header, rows, plain: bool = False) -> None:
-    """Write a CSV file: the header, then each row.
+#: exact types a row template writes as csv.writer does (a float by its repr)
+_TEMPLATE_TYPES = frozenset({float, int, str})
+#: characters that make csv.writer quote a value
+_QUOTE_IF = frozenset(',"\r\n')
 
-    Every float, Python or numpy, is written as ``repr(float(v))``, the
-    shortest text that reads back bitwise equal; every other value is
-    written as :mod:`csv` writes it.  Numpy scalars become Python scalars
-    first; csv writes a Python float as ``str(v)``, which equals its repr.
-    ``plain`` rows hold Python scalars only and skip that conversion.
+
+def _csv_text(value) -> str:
+    """One value as csv.writer writes it, a numpy scalar as its Python one."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if value is None:
+        return ""
+    text = repr(value) if isinstance(value, float) else str(value)
+    if _QUOTE_IF.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _csv_line(row) -> str:
+    """One row as csv.writer writes it, value by value; a lone empty value is quoted."""
+    return (",".join(map(_csv_text, row)) or ('""' if row else "")) + "\r\n"
+
+
+def write_rows(path, header, rows) -> None:
+    """Write a CSV file: the header, then each row, in csv.writer's text.
+
+    That text is: a float by its repr, the shortest text that reads back
+    bitwise equal; None as nothing; any other value by str; a numpy scalar
+    as its Python scalar first (so a float32 is written as the float64 it
+    widens to).  A value holding a comma, quote or line break is quoted,
+    with its quotes doubled, as is a row of one empty value; lines end in
+    CRLF.  A file whose rows have one width and hold only floats, ints and
+    strs that need no quotes is formatted by one template, one
+    ``str.format`` call per row; any other goes value by value.
     """
+    rows = [tuple(row) for row in rows]
+    widths = set(map(len, rows))
+    kinds = set(map(type, chain.from_iterable(rows)))
+    texts = {v for v in chain.from_iterable(rows) if type(v) is str} if str in kinds else set()
+    if (
+        len(widths) == 1
+        and kinds <= _TEMPLATE_TYPES
+        and all(map(_QUOTE_IF.isdisjoint, texts))
+        and not (widths == {1} and "" in texts)
+    ):
+        body = "".join(starmap((",".join(["{}"] * widths.pop()) + "\r\n").format, rows))
+    else:
+        body = "".join(map(_csv_line, rows))
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(
-            rows if plain else
-            ([v.item() if isinstance(v, np.generic) else v for v in row] for row in rows)
-        )
+        handle.write(_csv_line(header) + body)
 
 
 def field_to_csv(f: SampledField, path) -> None:
@@ -409,7 +444,7 @@ def field_to_csv(f: SampledField, path) -> None:
     indices = np.indices(f.grid.shape).reshape(f.grid.n, -1).tolist()
     real = f.values.real.ravel().tolist()
     imag = f.values.imag.ravel().tolist()
-    write_rows(path, header, zip(*indices, real, imag), plain=True)
+    write_rows(path, header, zip(*indices, real, imag))
 
 
 def field_from_csv(path, L: float) -> SampledField:

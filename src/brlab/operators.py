@@ -386,6 +386,24 @@ def _low_rank(table: np.ndarray, radii: np.ndarray):
     return lam, V
 
 
+def _shell_table(unique_sq: np.ndarray, spec: MultiplierSpec, n: int) -> np.ndarray:
+    """K(x1, x2) at every pair of shells, as a symmetric U x U table.
+
+    kernel_radial runs once per distinct |x1|^2 + |x2|^2, found on the
+    upper triangle only: a + b == b + a in floating point, so its sums are
+    those of the whole table, and so are the kernel values.
+    """
+    first, second = np.triu_indices(unique_sq.size)
+    upper = unique_sq[first] + unique_sq[second]
+    sums = np.unique(upper)
+    values = kernel_radial(np.sqrt(sums), spec.alpha, n, spec.radius)
+    values = values[np.searchsorted(sums, upper)]
+    table = np.empty((unique_sq.size, unique_sq.size))
+    table[first, second] = values
+    table[second, first] = values
+    return table
+
+
 def br_apply_kernel(
     f: SampledField, g: SampledField, spec: MultiplierSpec, budget: int = DEFAULT_BUDGET
 ) -> SampledField:
@@ -416,11 +434,7 @@ def br_apply_kernel(
     unique_sq, shell = np.unique(sum(axes_sq), return_inverse=True)
     shell = shell.reshape(grid.shape)  # numpy < 2 returns it flat
     _check_budget(unique_sq.size * grid.N**grid.n, budget)
-    # kernel_radial runs once per distinct |x1|^2 + |x2|^2, not per table entry
-    sums, pair = np.unique(np.add.outer(unique_sq, unique_sq), return_inverse=True)
-    table = kernel_radial(np.sqrt(sums), spec.alpha, grid.n, spec.radius)[pair]
-    del sums, pair  # the U^2 temporaries go before the factorization
-    lam, V = _low_rank(table.reshape(unique_sq.size, unique_sq.size), np.sqrt(unique_sq))
+    lam, V = _low_rank(_shell_table(unique_sq, spec, grid.n), np.sqrt(unique_sq))
     F_hat = np.fft.fftn(f.values)
     G_hat = np.fft.fftn(g.values)
     out = np.zeros(grid.shape, dtype=np.complex128)

@@ -179,22 +179,28 @@ def region_grid_export(n: int, resolution: int, csv_path, svg_path) -> None:
     Both run the hypotheses of :func:`classify` and :func:`smoothness_index`
     on integer numerators over D = 2 * resolution: node (i, k) is
     (2i, 2k), a cell center is (2i + 1, 2k + 1), and 1/2 and 1 are
-    resolution and D.  Fractions are built only for the values written to
-    a row, so every row equals ``smoothness_index(...).map_row()``.
+    resolution and D.  Fractions are built only for the text of a row, and
+    each coordinate and each distinct chosen form (c_n, c_0) is formatted
+    once, so every row is the text of ``smoothness_index(...).map_row()``.
     """
     if resolution < 16:
         raise ValueError(f"resolution must be at least 16, got resolution={resolution}")
     n = _dimension(n)
     D = 2 * resolution
-    coords = [Fraction(i, resolution) for i in range(resolution + 1)]
+    coords = [str(Fraction(i, resolution)) for i in range(resolution + 1)]
+    # (c_n, c_0) -> the threshold's float text and the form's text
+    forms: dict[tuple[int, int], tuple[str, str]] = {}
     rows = []
     for i in range(resolution + 1):
         for k in range(resolution + 1):
             regions = _regions(2 * i, 2 * k, resolution, D)
             sources = _sources(regions, 2 * i, 2 * k, resolution, D, n)
             _, c_n, c_0 = sources[_chosen(sources, n)]
-            form = ThresholdForm(Fraction(c_n, D), Fraction(c_0, D))
-            rows.append([coords[i], coords[k], _label(regions), (c_n * n + c_0) / D, form])
+            text = forms.get((c_n, c_0))
+            if text is None:
+                form = ThresholdForm(Fraction(c_n, D), Fraction(c_0, D))
+                text = forms[c_n, c_0] = (repr((c_n * n + c_0) / D), str(form))
+            rows.append((coords[i], coords[k], _label(regions), *text))
     write_rows(csv_path, MAP_HEADER, rows)
     with open(svg_path, "w") as handle:
         handle.write(_region_svg(n, resolution))
@@ -218,15 +224,14 @@ def _region_svg(n: int, resolution: int) -> str:
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="#ffffff"/>',
     ]
     D = 2 * resolution
+    # each column's x, each row's y and the cell size are formatted once
+    xs = [f'<rect x="{x_at(i / resolution):.2f}"' for i in range(resolution)]
+    ys = [f' y="{y_at((k + 1) / resolution):.2f}"' for k in range(resolution)]
+    size_fill = f' width="{cell:.2f}" height="{cell:.2f}" fill="'
     for i in range(resolution):
         for k in range(resolution):
             label = _label(_regions(2 * i + 1, 2 * k + 1, resolution, D))
-            parts.append(
-                f'<rect x="{x_at(i / resolution):.2f}"'
-                f' y="{y_at((k + 1) / resolution):.2f}"'
-                f' width="{cell:.2f}" height="{cell:.2f}"'
-                f' fill="{_REGION_COLORS[label]}"/>'
-            )
+            parts.append(f'{xs[i]}{ys[k]}{size_fill}{_REGION_COLORS[label]}"/>')
     boundaries = [
         (x_at(0.5), y_at(0.0), x_at(0.5), y_at(1.0)),
         (x_at(0.0), y_at(0.5), x_at(1.0), y_at(0.5)),

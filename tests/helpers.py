@@ -10,7 +10,8 @@ from scipy.special import roots_legendre
 from brlab import kernel
 from brlab.bessel import _point_radius, roots_jacobi, sphere_ft
 from brlab.cli import main
-from brlab.grid import Grid, SampledField
+from brlab.decomposition import _coeff_table
+from brlab.grid import Grid, SampledField, dft_forward, dft_inverse
 from brlab.kernel import _auto_nodes, _polar_angle_rule, _slice_edges, kernel_radial
 
 
@@ -189,6 +190,31 @@ def full_table_kernel_apply(f: SampledField, g: SampledField, spec) -> np.ndarra
         inner = np.fft.ifftn(G_hat * np.fft.fftn(row[shell]))
         out += np.fft.ifftn(F_hat * np.fft.fftn(shell == u)) * inner
     return out * grid.cell_volume**2
+
+
+def separable_by_fields(f: SampledField, g: SampledField, piece, K: int, bump) -> np.ndarray:
+    """``br_apply_separable``'s sum with every factor a field of its own.
+
+    Each term's two band operators go through
+    ``dft_inverse(SampledField(...))``, with its finiteness scan and copy:
+    the reference the raw-array terms must match bit for bit.
+    """
+    grid = f.grid
+    radii = grid.freq_radii()
+    ball = radii <= 1.0
+    inside, rows = np.unique(radii[ball], return_inverse=True)
+    table = _coeff_table(piece, bump, inside, K)
+    F, G = dft_forward(f).values, dft_forward(g).values
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    for k in range(K + 1):
+        f_multiplier = np.zeros(grid.shape, dtype=np.complex128)
+        g_multiplier = np.zeros(grid.shape, dtype=np.complex128)
+        f_multiplier[ball] = table[rows, k]
+        g_multiplier[ball] = np.cos(math.pi * k * radii[ball])
+        ff = dft_inverse(SampledField(grid, F * f_multiplier))
+        gg = dft_inverse(SampledField(grid, G * g_multiplier))
+        out += (1.0 if k == 0 else 2.0) * ff.values * gg.values
+    return out
 
 
 def rel_l2(actual: np.ndarray, expected: np.ndarray) -> float:

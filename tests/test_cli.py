@@ -11,7 +11,13 @@ import pytest
 from brlab.bessel import AccuracyWarning
 from brlab import cli
 from brlab.cli import _build_parser, main
-from brlab.decomposition import DyadicPiece, gamma_decay_check, make_bump, t_j_apply
+from brlab.decomposition import (
+    GAMMA_MAX_LEVEL,
+    DyadicPiece,
+    gamma_decay_check,
+    make_bump,
+    t_j_apply,
+)
 from brlab.grid import ExponentPair, Grid, field_from_csv
 from brlab.norms import corollary_experiment, decay_fit
 
@@ -451,6 +457,13 @@ class TestDecay:
         report = gamma_decay_check(2.0, 0.5, range(5), range(17), make_bump())
         assert [float(r[2]) for r in rows[1:]] == report.sup_table.ravel().tolist()
         assert [float(r[3]) for r in rows[1:]] == report.normalized.ravel().tolist()
+
+    def test_gamma_levels_past_the_certified_range_rejected(self, tmp_path, capsys):
+        argv = ["decay", "--mode", "gamma", "--alpha", "2", "--j-range", f"0:{GAMMA_MAX_LEVEL + 1}"]
+        rc, _ = run_cli(argv, tmp_path)
+        assert rc == 2
+        assert read_error(capsys)["key"] == "j_range"
+        assert os.listdir(tmp_path) == []
 
     def test_tj_mode(self, tmp_path, capsys):
         rc, run_dir = run_cli(

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 from brlab import decomposition, operators
 from brlab.decomposition import (
     COEFF_GRID,
+    GAMMA_MAX_LEVEL,
     BumpFunction,
     DyadicPiece,
     _coeff_table,
@@ -33,7 +34,7 @@ from brlab.operators import (
     bilinear_frequency_apply,
     br_apply_oracle,
 )
-from helpers import cli_artifact, random_field, read_csv_rows, rel_l2
+from helpers import cli_artifact, random_field, read_csv_rows, rel_l2, separable_by_fields
 
 BUMP = make_bump()
 GRID = Grid(1, 64, 16.0)
@@ -500,6 +501,47 @@ class TestGammaDecay:
         assert float(first[2]) == report.sup_table[0, 0]
 
 
+def plain_rule_sup(piece, k_max, nodes):
+    """sup over the audit's 257 s-values of |gamma_{j,k}|, 0 <= k <= k_max, by a plain
+    trapezoid of ``nodes`` nodes: the whole t-grid, no mirror, no support bands."""
+    t = -1.0 + 2.0 * np.arange(nodes) / nodes
+    signs = (-1.0) ** np.arange(k_max + 1)
+    sup = np.zeros(k_max + 1)
+    for s_values in np.array_split(np.linspace(0.0, 1.0, 257), max(1, 257 * nodes // 2**19)):
+        u = 1.0 - s_values[:, None] ** 2 - t[None, :] ** 2
+        spectrum = np.fft.rfft(piece.multiplier(u, BUMP), axis=1)[:, : k_max + 1].real
+        sup = np.maximum(sup, np.max(np.abs(spectrum * signs / nodes), axis=0))
+    return sup
+
+
+class TestGammaRule:
+    """The decay audit's trapezoid grows with the level and with k_max."""
+
+    # (level, k_max, twice the audit's nodes there); the fixed 4,096-node rule
+    # missed the level maximum by 9% at (8, 2048) and 85% at (10, 2048)
+    CASES = [(8, 64, 8192), (10, 64, 32768), (8, 2048, 131072), (10, 2048, 131072),
+             (12, 2048, 131072)]
+
+    @pytest.mark.parametrize("j,k_max,nodes", CASES)
+    def test_agrees_with_a_rule_of_twice_the_nodes(self, j, k_max, nodes):
+        alpha, delta = 2.0, 0.5
+        report = gamma_decay_check(alpha, delta, [j], range(k_max + 1), BUMP)
+        want = plain_rule_sup(DyadicPiece(j, alpha), k_max, nodes)
+        got = report.sup_table[0]
+        assert np.max(np.abs(got - want)) <= 1e-3 * np.max(want)
+        weight = (1.0 + np.arange(k_max + 1)) ** (1.0 + delta) * 2.0 ** (j * (alpha - delta))
+        level_max = np.max(want * weight)
+        assert abs(report.per_level_max[0] - level_max) <= 1e-3 * level_max
+        assert 2 * decomposition._audit_nodes(j, k_max) == nodes
+
+    def test_default_audit_keeps_the_fixed_rule(self):
+        assert {decomposition._audit_nodes(j, 64) for j in range(9)} == {COEFF_GRID}
+
+    def test_levels_past_the_certified_range_refused(self):
+        with pytest.raises(ValueError, match="j_range"):
+            gamma_decay_check(2.0, 0.5, range(GAMMA_MAX_LEVEL + 2), range(5), BUMP)
+
+
 class TestSeparable:
     def test_matches_direct_route(self):
         f, g = gaussian_pair()
@@ -536,6 +578,14 @@ class TestSeparable:
             expected += factor * ff.values * gg.values
         out = br_apply_separable(f, g, piece, K, BUMP)
         assert np.array_equal(out.values, expected)
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64, 16.0), Grid(2, 32, 8.0)], ids=["1d", "2d"])
+    def test_bitwise_equal_to_terms_through_sampled_fields(self, grid):
+        f, g = random_field(grid, seed=61), random_field(grid, seed=62)
+        piece = DyadicPiece(2, 2.0)
+        out = br_apply_separable(f, g, piece, 64, BUMP)
+        want = separable_by_fields(f, g, piece, 64, BUMP)
+        assert np.array_equal(out.values.view(np.int64), want.view(np.int64))
 
     def test_zero_input_gives_zero(self):
         f, g = gaussian_pair()

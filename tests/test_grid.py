@@ -299,6 +299,24 @@ class TestMakeTestField:
         assert rel_l2(G, np.roll(F, 16)) < 1e-12
 
 
+# values of every kind csv.writer meets: text it must quote, None, bools,
+# each numpy scalar kind, signed zeros, infinities, nan, subnormals,
+# Fractions and big ints
+ADVERSARIAL = [
+    "", "plain", "a,b", 'say "hi"', "cr\rcr", "lf\nlf", "\r\n", " padded ", '"',
+    None, True, False, np.bool_(True),
+    0.0, -0.0, 5e-324, -2.5e-310, 1e308, math.inf, -math.inf, math.nan, 0.1 + 0.2,
+    np.float16(0.1), np.float32(-0.0), np.float64(-math.inf), np.float64(math.nan),
+    np.longdouble(0.1),
+    np.int8(-128), np.uint8(255), np.int16(-3), np.uint16(7), np.int32(-2**31),
+    np.uint32(2**32 - 1), np.int64(-2**63), np.uint64(2**64 - 1),
+    np.complex64(1 - 2j), np.complex128(complex(0.1, -0.0)), np.str_("x,y"),
+    np.bytes_(b"raw"), np.datetime64("2020-01-02"), np.datetime64("NaT"),
+    np.timedelta64(3, "s"),
+    Fraction(-4, 3), Fraction(0), 10**40, -(10**30),
+]
+
+
 class TestFieldIO:
     def test_csv_round_trip(self, tmp_path):
         for grid in [Grid(1, 16, 4.0), Grid(2, 8, 2.0)]:
@@ -344,13 +362,57 @@ class TestFieldIO:
             assert float(cell).hex() == float(value).hex()
 
     def test_csv_writer_only_in_write_rows(self):
-        # the output-file format is decided in one place
+        # the output-file format is decided in one place: no module uses a
+        # csv writer, and only write_rows and its row helper end CSV lines
         import brlab.grid
 
         package = Path(brlab.grid.__file__).parent
-        counts = {
-            path.name: path.read_text().count("csv.writer(")
-            for path in sorted(package.glob("*.py"))
-        }
-        assert {name: c for name, c in counts.items() if c} == {"grid.py": 1}
-        assert "csv.writer(" in inspect.getsource(write_rows)
+        sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+        assert [name for name, text in sources.items() if "csv.writer(" in text] == []
+        assert [name for name, text in sources.items() if "csv.DictWriter(" in text] == []
+        crlf = {name: text.count('"\\r\\n"') for name, text in sources.items()}
+        owners = inspect.getsource(write_rows) + inspect.getsource(brlab.grid._csv_line)
+        assert owners.count('"\\r\\n"') == 2
+        assert {name: c for name, c in crlf.items() if c} == {"grid.py": 2}
+
+    @staticmethod
+    def csv_writer_bytes(path, header, rows):
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(
+                [v.item() if isinstance(v, np.generic) else v for v in row] for row in rows
+            )
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[v] for v in ADVERSARIAL],
+            [ADVERSARIAL, ADVERSARIAL[::-1]],
+            [ADVERSARIAL[i : i + 3] for i in range(0, len(ADVERSARIAL), 3)],
+            [[], [None], [""], ["", ""], [None, None]],
+            # one width of floats, ints and strs: the row template, kept or refused
+            [[0.5, -1, "I_a"], [-0.0, 10**40, "1/2*n - 1/2"], [math.nan, 0, ""]],
+            [[0.5, -1, "I_a"], [math.inf, 2, "a,b"]],
+            [[0.5, 7, 'q"'], [1.0, 8, "x"]],
+            [[1.5, 2, "cr\r"]],
+            [[1.5, 2, "lf\n"]],
+            [[1.5], [""], [2]],
+            [[1.5], [2]],
+            [[], []],
+        ],
+        ids=["lone", "wide", "threes", "empty", "template", "comma", "quote", "cr", "lf",
+             "lone-empty", "lone-number", "no-values"],
+    )
+    def test_write_rows_is_csv_writer_text(self, tmp_path, rows):
+        header = ["a", "", "b,c", None]
+        write_rows(tmp_path / "got.csv", header, rows)
+        want = self.csv_writer_bytes(tmp_path / "want.csv", header, rows)
+        assert (tmp_path / "got.csv").read_bytes() == want
+
+    def test_write_rows_takes_generators(self, tmp_path):
+        rows = [[1, 2.5, "x"], (3, -0.0, "y,z")]
+        write_rows(tmp_path / "got.csv", iter(["a", "b", "c"]), (iter(row) for row in rows))
+        want = self.csv_writer_bytes(tmp_path / "want.csv", ["a", "b", "c"], rows)
+        assert (tmp_path / "got.csv").read_bytes() == want

@@ -443,6 +443,20 @@ class TestKernelPath:
         with pytest.raises(BudgetError):
             br_apply_kernel(f, f, MultiplierSpec(alpha=1.0), budget=1_000_000)
 
+    @pytest.mark.parametrize("grid", [Grid(2, 64, 8.0), Grid(1, 256, 16.0)], ids=["2d", "1d"])
+    def test_shell_table_from_the_upper_triangle_keeps_every_bit(self, grid):
+        # the distinct sums of the upper triangle are those of all U^2 pairs
+        # (a + b == b + a), so the table is bitwise the one built from them
+        spec = MultiplierSpec(alpha=2.0, radius=1.5)
+        half = grid.N // 2
+        signed = ((np.arange(grid.N) + half) % grid.N - half) * grid.spacing
+        unique_sq = np.unique(sum(np.meshgrid(*([signed**2] * grid.n), indexing="ij")))
+        sums, pair = np.unique(np.add.outer(unique_sq, unique_sq), return_inverse=True)
+        full = operators.kernel_radial(np.sqrt(sums), spec.alpha, grid.n, spec.radius)[pair]
+        table = operators._shell_table(unique_sq, spec, grid.n)
+        assert table.shape == (unique_sq.size, unique_sq.size)
+        assert np.array_equal(table.view(np.int64), full.reshape(table.shape).view(np.int64))
+
     @pytest.mark.parametrize(
         "grid", [Grid(1, 256, 32.0), Grid(2, 16, 4.0), Grid(2, 32, 8.0)], ids=["1d", "2d-16", "2d-32"]
     )
