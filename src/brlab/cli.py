@@ -2,8 +2,8 @@
 
 Every run gets its own output directory (command + UTC timestamp + seed)
 under --outdir, the BRLAB_OUTPUT_ROOT environment variable, or the current
-directory, and always writes a manifest.json with the fully resolved
-configuration, tool version, and wall-clock runtime.  CSV outputs are
+directory, and always writes a manifest.json with every parsed flag, the
+tool version, and the wall-clock runtime.  CSV outputs are
 byte-deterministic for a fixed configuration and seed.  All failures print
 a single-line JSON error record to stderr and exit nonzero: 2 validation,
 3 budget, 4 I/O; a run that fails before writing anything removes every
@@ -220,6 +220,18 @@ def _classify_value_error(err: ValueError, flags) -> CliError:
     return CliError(key, message)
 
 
+def _flags(args) -> dict:
+    """Every parsed flag as the manifest records it: the run seed as ``seed``,
+    exponents as their text, unset flags as None."""
+    config = {
+        key: str(value) if isinstance(value, Fraction) or value == math.inf else value
+        for key, value in vars(args).items()
+        if key not in ("command", "outdir", "run_seed")
+    }
+    config["seed"] = args.run_seed
+    return config
+
+
 def _make_run_dir(args) -> tuple[str, list[str]]:
     """Create the run directory; return it and every directory made, leaf first."""
     root = args.outdir or os.environ.get(OUTPUT_ROOT_ENV) or "."
@@ -259,7 +271,7 @@ def _grid_from_args(args, ball: bool = False) -> Grid:
     return grid
 
 
-def _cmd_evaluate(args, run_dir: str) -> dict:
+def _cmd_evaluate(args, run_dir: str) -> None:
     alpha = _required(args, "alpha", "to evaluate the means")
     grid = _grid_from_args(args, ball=True)
     paths = args.paths
@@ -268,7 +280,6 @@ def _cmd_evaluate(args, run_dir: str) -> dict:
         check_closed_form(alpha, args.n)
     seed = args.run_seed
     spec = MultiplierSpec(alpha=alpha)
-    bump = make_bump()
     f = make_test_field("gaussian", {"width": 1.0}, grid, seed=seed)
     g = make_test_field(
         "gaussian", {"width": 1.5, "center": (grid.L * 0.6,) * grid.n}, grid, seed=seed
@@ -284,8 +295,8 @@ def _cmd_evaluate(args, run_dir: str) -> dict:
             outputs[name] = br_apply_kernel(f, g, spec, budget=args.budget)
         else:
             piece = DyadicPiece(args.j, alpha)
-            outputs["separable"] = br_apply_separable(f, g, piece, args.K, bump)
-            outputs["tj_direct"] = t_j_apply(f, g, piece, bump, budget=args.budget)
+            outputs["separable"] = br_apply_separable(f, g, piece, args.K)
+            outputs["tj_direct"] = t_j_apply(f, g, piece, make_bump(), budget=args.budget)
     field_to_csv(f, os.path.join(run_dir, "input_f.csv"))
     field_to_csv(g, os.path.join(run_dir, "input_g.csv"))
     for name, out in outputs.items():
@@ -306,26 +317,13 @@ def _cmd_evaluate(args, run_dir: str) -> dict:
     write_rows(os.path.join(run_dir, "agreement.csv"), header, rows)
     if not pairs:
         print("single path requested; no agreement rows")
-    return {
-        "n": grid.n,
-        "N": grid.N,
-        "L": grid.L,
-        "alpha": alpha,
-        "paths": paths,
-        "nodes": args.nodes,
-        "K": args.K,
-        "j": args.j,
-        "budget": args.budget,
-        "seed": seed,
-    }
 
 
-def _cmd_decay(args, run_dir: str) -> dict:
+def _cmd_decay(args, run_dir: str) -> None:
     alpha = _required(args, "alpha", "for the decay experiments")
-    bump = make_bump()
     j_range = args.j_range
     if args.mode == "gamma":
-        report = gamma_decay_check(alpha, args.delta, j_range, range(args.k_max + 1), bump)
+        report = gamma_decay_check(alpha, args.delta, j_range, range(args.k_max + 1))
         sup, normalized = report.sup_table.tolist(), report.normalized.tolist()
         rows = (
             [j, k, sup[i][c], normalized[i][c]]
@@ -339,24 +337,17 @@ def _cmd_decay(args, run_dir: str) -> dict:
             f" per-level growth ratio {report.growth_ratio:.4f},"
             f" flagged {report.flagged}"
         )
-        return {
-            "mode": "gamma",
-            "alpha": alpha,
-            "delta": args.delta,
-            "j_range": j_range,
-            "k_max": args.k_max,
-            "seed": args.run_seed,
-        }
+        return
     if len(j_range) < 4:
         raise CliError("j_range", "decay fit needs at least 4 levels in j_range")
     seed = _required(args, "seed", "for randomized experiments")
     grid = _grid_from_args(args, ball=True)
     exponents = ExponentPair(args.p1, args.p2)
-    budget = args.budget
+    bump = make_bump()
 
     def op_family(j: int):
         piece = DyadicPiece(int(j), alpha)
-        return lambda u, v: t_j_apply(u, v, piece, bump, budget=budget)
+        return lambda u, v: t_j_apply(u, v, piece, bump, budget=args.budget)
 
     fit = decay_fit(op_family, exponents, grid, j_range, args.trials, seed)
     rows = (
@@ -369,38 +360,20 @@ def _cmd_decay(args, run_dir: str) -> dict:
         f"decay fit: epsilon {fit.epsilon:.4f}, residual {fit.residual:.4f},"
         f" degenerate {fit.degenerate}"
     )
-    return {
-        "mode": "tj",
-        "n": grid.n,
-        "N": grid.N,
-        "L": grid.L,
-        "alpha": alpha,
-        "p1": str(exponents.p1),
-        "p2": str(exponents.p2),
-        "j_range": j_range,
-        "trials": args.trials,
-        "budget": budget,
-        "seed": seed,
-    }
 
 
-def _cmd_regions(args, run_dir: str) -> dict:
-    n = args.n
-    config = {"n": n, "seed": args.run_seed}
+def _cmd_regions(args, run_dir: str) -> None:
     if args.p1 is not None or args.p2 is not None:
         why = "for a single-point query"
         pair = ExponentPair(_required(args, "p1", why), _required(args, "p2", why))
-        result = smoothness_index(pair, n)
+        result = smoothness_index(pair, args.n)
         print(f"{result.region}, threshold {result.chosen_form} = {result.threshold}")
         write_rows(os.path.join(run_dir, "query.csv"), MAP_HEADER, [result.map_row()])
-        config.update({"mode": "query", "p1": str(pair.p1), "p2": str(pair.p2)})
-        return config
+        return
     csv_path = os.path.join(run_dir, "map.csv")
     svg_path = os.path.join(run_dir, "map.svg")
-    region_grid_export(n, args.resolution, csv_path, svg_path)
+    region_grid_export(args.n, args.resolution, csv_path, svg_path)
     print(f"region map written: {csv_path} and {svg_path}")
-    config.update({"mode": "export", "resolution": args.resolution})
-    return config
 
 
 def _kernel_points(rhos, n: int) -> list[KernelPoint]:
@@ -421,7 +394,7 @@ def _refuse_past_node_cap(cycles: float, key: str) -> None:
         )
 
 
-def _cmd_kernel(args, run_dir: str) -> dict:
+def _cmd_kernel(args, run_dir: str) -> None:
     n = args.n
     # the piece kernels need J_{n-1}, the closed form J_{n+alpha} with alpha >= 0
     order = n - 1 if args.check == "envelope" else n
@@ -432,14 +405,12 @@ def _cmd_kernel(args, run_dir: str) -> dict:
             f" {order}, above {MAX_VALIDATED_ORDER:g}, the validated maximum",
         )
     alpha = args.alpha
-    config = {"check": args.check, "n": n, "alpha": alpha, "seed": args.run_seed}
     if args.check in ("sweep", "dilation"):
         points, rho_max = args.points, args.rho_max
         rhos = [rho_max * (i + 1) / points for i in range(points)]
         top = _kernel_points(rhos[-1:], n)[0].rho
         if not math.isfinite(top):
             raise CliError("rho_max", f"rho_max={rho_max:g} overflows the sample radii")
-        config.update({"points": points, "rho_max": rho_max})
         check_closed_form(alpha, n)
     if args.check == "sweep":
         _refuse_past_node_cap(top, "rho_max")
@@ -450,7 +421,7 @@ def _cmd_kernel(args, run_dir: str) -> dict:
         write_rows(os.path.join(run_dir, "kernel.csv"), header, rows)
         worst = max(row[3] for row in rows)
         print(f"kernel sweep: max closed-vs-quadrature discrepancy {worst:.6e}")
-        return config
+        return
     if args.check == "dilation":
         R = _required(args, "R", "for the dilation check")
         if not 2 * n * math.log(R * max(rhos[-1], 1.0)) < math.log(sys.float_info.max):
@@ -459,8 +430,7 @@ def _cmd_kernel(args, run_dir: str) -> dict:
         rows = [[pt.rho, dilation_check(pt, alpha, n, R)] for pt in _kernel_points(rhos, n)]
         write_rows(os.path.join(run_dir, "dilation.csv"), ["rho", "residual"], rows)
         print(f"dilation check R={R:g}: max residual {max(row[1] for row in rows):.6e}")
-        config.update({"R": R})
-        return config
+        return
     j_range, M = args.j_range, args.M
     radii = [0.0, 0.7, 2.1, 3.5, 7.0, 14.0, 28.0]
     points = [
@@ -485,11 +455,9 @@ def _cmd_kernel(args, run_dir: str) -> dict:
         f"envelope fit M={M:g}: log10 slope {report.slope:.4f},"
         f" flagged {report.flagged}"
     )
-    config.update({"M": M, "j_range": j_range})
-    return config
 
 
-def _cmd_norms(args, run_dir: str) -> dict:
+def _cmd_norms(args, run_dir: str) -> None:
     seed = _required(args, "seed", "for randomized experiments")
     grid = _grid_from_args(args, ball=args.experiment == "corollary")
     if args.experiment == "lemma1":
@@ -504,16 +472,7 @@ def _cmd_norms(args, run_dir: str) -> dict:
             f"scaling experiment p={p}: fitted exponent {fitted},"
             f" target {report.target_exponent:.4f}"
         )
-        return {
-            "experiment": "lemma1",
-            "p": str(p),
-            "b": args.b,
-            "widths": args.widths,
-            "n": grid.n,
-            "N": grid.N,
-            "L": grid.L,
-            "seed": seed,
-        }
+        return
     alpha = _required(args, "alpha", "for the corollary experiment")
     estimate = corollary_experiment(alpha, grid, args.trials, seed)
     # the witnesses are saved beside the estimate, so its ratio can be recomputed
@@ -535,18 +494,9 @@ def _cmd_norms(args, run_dir: str) -> dict:
         },
     )
     print(f"corollary estimate: lower bound {estimate.value:.6g}")
-    return {
-        "experiment": "corollary",
-        "alpha": alpha,
-        "trials": args.trials,
-        "n": grid.n,
-        "N": grid.N,
-        "L": grid.L,
-        "seed": seed,
-    }
 
 
-def _cmd_bessel_check(args, run_dir: str) -> dict:
+def _cmd_bessel_check(args, run_dir: str) -> None:
     r_min, r_max = args.r_min, args.r_max
     if not 0 < r_min < r_max:
         raise CliError("r_min", f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
@@ -560,13 +510,6 @@ def _cmd_bessel_check(args, run_dir: str) -> dict:
     header = ["order", "r", "series_route", "quadrature_route", "abs_diff"]
     write_rows(os.path.join(run_dir, "bessel.csv"), header, rows)
     print(f"bessel dual-route check: max |difference| {max(row[4] for row in rows):.3e}")
-    return {
-        "orders": args.orders,
-        "points": args.points,
-        "r_min": r_min,
-        "r_max": r_max,
-        "seed": args.run_seed,
-    }
 
 
 def _build_parser() -> _Parser:
@@ -589,7 +532,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--nodes", type=count, default=None)
     p.add_argument("--K", type=count, default=256)
     p.add_argument("--j", type=int, default=2)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
 
     p = sub.add_parser("decay", help="piece-norm decay or coefficient decay")
     common(p)
@@ -604,7 +547,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--j-range", dest="j_range", type=_int_range, default="0:8")
     p.add_argument("--k-max", dest="k_max", type=_at_least(0), default=64)
     p.add_argument("--trials", type=int, default=2)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
 
     p = sub.add_parser("regions", help="region map export or single query")
     common(p)
@@ -669,7 +612,7 @@ def main(argv=None) -> int:
             _emit_error("io", "outdir", str(err))
             return EXIT_IO
         try:
-            config = _HANDLERS[args.command](args, run_dir)
+            _HANDLERS[args.command](args, run_dir)
         except Exception:
             # a refused run removes the directories it made while they are empty
             for path in made:
@@ -683,7 +626,7 @@ def main(argv=None) -> int:
         manifest = {
             "command": args.command,
             "version": __version__,
-            "config": config,
+            "config": _flags(args),
             "outputs": outputs,
             "runtime_seconds": runtime,
         }

@@ -30,6 +30,9 @@ from .operators import (
 COEFF_GRID = 4096
 #: deepest level :func:`gamma_decay_check` audits; its rule grows like 2^j
 GAMMA_MAX_LEVEL = 14
+#: deepest level :func:`br_apply_separable` takes: past it the slice-width
+#: term 16 * 2^j of ``_audit_nodes`` exceeds its fixed COEFF_GRID nodes
+SEPARABLE_MAX_LEVEL = 8
 
 
 class BumpFunction:
@@ -228,12 +231,9 @@ def _coeff_tables(alpha, levels, nodes: int, s_values, k_max: int) -> np.ndarray
     return tables
 
 
-def _coeff_table(piece: DyadicPiece, bump: BumpFunction, s_values, k_max: int) -> np.ndarray:
-    """Coefficients gamma_{j,k}(s) for all 0 <= k <= k_max at once.
-
-    :func:`_coeff_tables` on COEFF_GRID nodes; ``bump`` is the package's
-    one :class:`BumpFunction`, whose closed form that evaluates.
-    """
+def _coeff_table(piece: DyadicPiece, s_values, k_max: int) -> np.ndarray:
+    """Coefficients gamma_{j,k}(s) for all 0 <= k <= k_max at once, by
+    :func:`_coeff_tables` on COEFF_GRID nodes."""
     return _coeff_tables(piece.alpha, [piece.j], COEFF_GRID, s_values, k_max)[0]
 
 
@@ -259,9 +259,7 @@ class GammaDecayReport:
     flagged: bool
 
 
-def gamma_decay_check(
-    alpha: float, delta: float, j_range, k_range, bump: BumpFunction
-) -> GammaDecayReport:
+def gamma_decay_check(alpha: float, delta: float, j_range, k_range) -> GammaDecayReport:
     """Measure the (j, k)-decay of the slice coefficients.
 
     Each level's coefficients come from a trapezoid of ``_audit_nodes(j,
@@ -280,7 +278,6 @@ def gamma_decay_check(
         Decay split parameter; must satisfy 0 < delta < alpha.
     j_range, k_range : iterables of int
         Levels and wavenumbers to audit (negative k fold onto positive).
-    bump : BumpFunction
     """
     if not 0 < delta < alpha:
         raise ValueError(
@@ -336,7 +333,6 @@ def br_apply_separable(
     g: SampledField,
     piece: DyadicPiece,
     K: int,
-    bump: BumpFunction,
 ) -> SampledField:
     """Rank-decomposed evaluation of one dyadic piece.
 
@@ -347,15 +343,22 @@ def br_apply_separable(
     constant in front is exactly one under this convention.  f and g are
     transformed once, so each k costs two inverse transforms, each scaled
     as :func:`~brlab.grid.dft_inverse` scales it and with the same bits.
+    The coefficients come from one COEFF_GRID-node table, so K is at most
+    COEFF_GRID/2 and the level at most SEPARABLE_MAX_LEVEL.
     """
-    if K < 1:
-        raise ValueError(f"rank cutoff must satisfy K >= 1, got K={K}")
+    if not 1 <= K <= COEFF_GRID // 2:
+        raise ValueError(f"rank cutoff must satisfy 1 <= K <= {COEFF_GRID // 2}, got K={K}")
+    if piece.j > SEPARABLE_MAX_LEVEL:
+        raise ValueError(
+            f"the separable path's {COEFF_GRID}-node coefficient table resolves levels"
+            f" up to {SEPARABLE_MAX_LEVEL}, got j={piece.j}"
+        )
     grid = _require_same_grid(f, g)
     radii = grid.freq_radii()
     ball = radii <= 1.0
     in_ball = radii[ball]
     inside, rows = np.unique(in_ball, return_inverse=True)
-    table = _coeff_table(piece, bump, inside, K)
+    table = _coeff_table(piece, inside, K)
     F = dft_forward(f).values
     G = dft_forward(g).values
     scale = (grid.N / grid.L) ** grid.n

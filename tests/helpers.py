@@ -192,7 +192,7 @@ def full_table_kernel_apply(f: SampledField, g: SampledField, spec) -> np.ndarra
     return out * grid.cell_volume**2
 
 
-def separable_by_fields(f: SampledField, g: SampledField, piece, K: int, bump) -> np.ndarray:
+def separable_by_fields(f: SampledField, g: SampledField, piece, K: int) -> np.ndarray:
     """``br_apply_separable``'s sum with every factor a field of its own.
 
     Each term's two band operators go through
@@ -203,7 +203,7 @@ def separable_by_fields(f: SampledField, g: SampledField, piece, K: int, bump) -
     radii = grid.freq_radii()
     ball = radii <= 1.0
     inside, rows = np.unique(radii[ball], return_inverse=True)
-    table = _coeff_table(piece, bump, inside, K)
+    table = _coeff_table(piece, inside, K)
     F, G = dft_forward(f).values, dft_forward(g).values
     out = np.zeros(grid.shape, dtype=np.complex128)
     for k in range(K + 1):

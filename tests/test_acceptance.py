@@ -182,7 +182,7 @@ def test_05_decomposition():
 
     piece = DyadicPiece(2, 2.0)
     separable_err = _rel(
-        br_apply_separable(f, g, piece, 512, BUMP), t_j_apply(f, g, piece, BUMP)
+        br_apply_separable(f, g, piece, 512), t_j_apply(f, g, piece, BUMP)
     )
     elapsed = time.perf_counter() - started
     ok = (
@@ -202,7 +202,7 @@ def test_05_decomposition():
 
 def test_06_gamma_decay():
     started = time.perf_counter()
-    report = gamma_decay_check(2.0, 0.5, range(9), range(65), BUMP)
+    report = gamma_decay_check(2.0, 0.5, range(9), range(65))
     log2_slope = math.log2(report.growth_ratio)
     elapsed = time.perf_counter() - started
     ok = log2_slope <= 0.1 and math.isfinite(report.constant) and elapsed < 120.0

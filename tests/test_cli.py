@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,14 +44,47 @@ def load_rows(path):
         return list(csv.reader(handle))
 
 
+def read_manifest(run_dir):
+    with open(os.path.join(run_dir, "manifest.json")) as handle:
+        return json.load(handle)
+
+
+def subparsers():
+    """The parser's subcommands, by name."""
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def flag_text(value):
+    """A manifest value as flag text; a float as its exact rational, which
+    every numeric flag parses back to the same bits."""
+    return str(Fraction(value)) if isinstance(value, float) else str(value)
+
+
+#: the benchmark's one-shot CLI entries, and a default piece-norm decay fit
+RERUN_ENTRIES = {
+    "evaluate_1d": ["evaluate", "--alpha", "2"],
+    "evaluate_2d": ["evaluate", "--n", "2", "--N", "64", "--L", "8", "--alpha", "2",
+                    "--paths", "oracle,radial,kernel,separable"],
+    "decay_gamma": ["decay", "--mode", "gamma", "--alpha", "2"],
+    "decay_tj": ["decay", "--mode", "tj", "--alpha", "2"],
+    "kernel_sweep": ["kernel", "--check", "sweep"],
+    "kernel_dilation": ["kernel", "--check", "dilation", "--R", "2"],
+    "norms_lemma1": ["norms", "--experiment", "lemma1", "--p", "1"],
+    "norms_corollary": ["norms", "--experiment", "corollary", "--alpha", "3/2"],
+    "regions_export": ["regions"],
+    "regions_query": ["regions", "--p1", "1", "--p2", "2"],
+    "bessel_check": ["bessel-check"],
+}
+
+
 def _number_flag_cases():
     """(argv, key) feeding every flag of every command but --outdir a value
     none of them can use; each is refused as it is parsed, whichever mode
     reads it."""
-    parser = _build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     cases = []
-    for command, sub in commands.choices.items():
+    for command, sub in subparsers().items():
         for action in sub._actions:
             if not isinstance(action, argparse._StoreAction) or action.dest == "outdir":
                 continue
@@ -215,8 +249,11 @@ class TestValidation:
             (["evaluate", "--paths", "separable", "--K", "0"], "K"),
             (["evaluate", "--paths", "radial", "--nodes", "0"], "nodes"),
             (["kernel", "--check", "envelope", "--M", "0"], "M"),
+            # a negative budget used to exit 3, as if a run had gone over it
+            (["evaluate", "--budget", "-5"], "budget"),
+            (["decay", "--budget", "-5"], "budget"),
         ],
-        ids=["K", "nodes", "M"],
+        ids=["K", "nodes", "M", "evaluate-budget", "decay-budget"],
     )
     def test_refused_before_any_output(self, flags, key, tmp_path, capsys):
         argv = flags + (["--alpha", "2", "--N", "64"] if flags[0] == "evaluate" else [])
@@ -323,9 +360,12 @@ class TestValidation:
               "--seed", "1"], "widths"),
             (["norms", "--experiment", "corollary", "--alpha", "0", "--seed", "1"], "alpha"),
             (["evaluate", "--alpha", "2", "--N", "12"], "N"),
+            # past the separable path's coefficient table: its levels, then its wavenumbers
+            (["evaluate", "--alpha", "2", "--paths", "separable", "--j", "9"], "j"),
+            (["evaluate", "--alpha", "2", "--paths", "separable", "--K", "4096"], "K"),
         ],
         ids=["delta", "k_max", "b", "widths-above-b", "widths-zero", "widths-empty-annulus",
-             "alpha", "N"],
+             "alpha", "N", "separable-j", "separable-K"],
     )
     def test_library_refusal_names_the_flag_it_prints(self, argv, key, tmp_path, capsys):
         rc, _ = run_cli(argv, tmp_path)
@@ -380,6 +420,35 @@ class TestRunLayout:
         assert run_dir.endswith("-seed7")
         with open(os.path.join(run_dir, "manifest.json")) as handle:
             assert json.load(handle)["config"]["seed"] == 7
+
+    @pytest.mark.parametrize("argv", RERUN_ENTRIES.values(), ids=RERUN_ENTRIES.keys())
+    def test_manifest_config_reruns_the_same_outputs(self, tmp_path, argv):
+        rc, run_dir = run_cli(argv + ["--seed", "9001"], tmp_path)
+        assert rc == 0
+        config = read_manifest(run_dir)["config"]
+        # every flag as parsed, including those the mode does not read
+        sub = subparsers()[argv[0]]
+        options = {a.dest: a.option_strings[0] for a in sub._actions if a.dest != "help"}
+        assert set(config) == set(options) - {"outdir"}
+        rerun = [argv[0]]
+        for key, value in config.items():
+            if value is None:
+                continue
+            if key == "j_range":
+                value = f"{value[0]}:{value[-1]}"
+            elif isinstance(value, list):
+                value = ",".join(flag_text(v) for v in value)
+            rerun += [options[key], flag_text(value)]
+        rc, again = run_cli(rerun, tmp_path)
+        assert rc == 0
+        assert read_manifest(again)["config"] == config
+        names = sorted(os.listdir(run_dir))
+        assert sorted(os.listdir(again)) == names
+        for name in names:
+            if name != "manifest.json":
+                with open(os.path.join(run_dir, name), "rb") as a, \
+                        open(os.path.join(again, name), "rb") as b:
+                    assert a.read() == b.read(), name
 
     def test_output_root_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BRLAB_OUTPUT_ROOT", str(tmp_path))
@@ -454,7 +523,7 @@ class TestDecay:
         assert rows[0] == ["j", "k", "sup_gamma", "normalized"]
         assert len(rows) == 1 + 5 * 17
         assert rows[1][:2] == ["0", "0"] and rows[-1][:2] == ["4", "16"]
-        report = gamma_decay_check(2.0, 0.5, range(5), range(17), make_bump())
+        report = gamma_decay_check(2.0, 0.5, range(5), range(17))
         assert [float(r[2]) for r in rows[1:]] == report.sup_table.ravel().tolist()
         assert [float(r[3]) for r in rows[1:]] == report.normalized.ravel().tolist()
 

@@ -14,6 +14,7 @@ from brlab import decomposition, operators
 from brlab.decomposition import (
     COEFF_GRID,
     GAMMA_MAX_LEVEL,
+    SEPARABLE_MAX_LEVEL,
     BumpFunction,
     DyadicPiece,
     _coeff_table,
@@ -350,7 +351,7 @@ class TestPairPlan:
 class TestGammaCoeff:
     def test_k_zero_positive_on_support(self):
         # s = 0.8 puts u = 1 - s^2 t-profiles inside the level-2 window
-        table = _coeff_table(DyadicPiece(2, 2.0), BUMP, [0.8], 0)
+        table = _coeff_table(DyadicPiece(2, 2.0), [0.8], 0)
         assert table[0, 0] > 0.0
 
     def test_even_in_k_and_s(self):
@@ -359,17 +360,17 @@ class TestGammaCoeff:
             j = int(rng.integers(0, 6))
             k = int(rng.integers(1, 40))
             s = float(rng.uniform(0, 1))
-            table = _coeff_table(DyadicPiece(j, 1.5), BUMP, [s, -s], k)
+            table = _coeff_table(DyadicPiece(j, 1.5), [s, -s], k)
             assert table[1, k] == table[0, k]
             # the decay audit folds -k onto k
-            minus, plus = (gamma_decay_check(1.5, 0.5, [j], [q], BUMP) for q in (-k, k))
+            minus, plus = (gamma_decay_check(1.5, 0.5, [j], [q]) for q in (-k, k))
             assert minus.sup_table.tolist() == plus.sup_table.tolist()
 
     @pytest.mark.parametrize("s,t", [(0.3, 0.5), (0.55, 0.65)])
     def test_series_reconstruction(self, s, t):
         piece = DyadicPiece(2, 2.0)
         K = 512
-        coeffs = _coeff_table(piece, BUMP, [s], K)[0]
+        coeffs = _coeff_table(piece, [s], K)[0]
         series = coeffs[0] + 2.0 * np.sum(
             coeffs[1:] * np.cos(math.pi * np.arange(1, K + 1) * t)
         )
@@ -378,20 +379,20 @@ class TestGammaCoeff:
 
 class TestGammaTable:
     def test_build_shape_and_dtype(self):
-        table = _coeff_table(DyadicPiece(2, 2.0), BUMP, np.linspace(0.0, 1.0, 257), 16)
+        table = _coeff_table(DyadicPiece(2, 2.0), np.linspace(0.0, 1.0, 257), 16)
         assert table.shape == (257, 17)
         assert table.dtype == np.float64
 
     def test_matches_single_coefficient_route(self):
         # a row does not depend on the other s values in the batch
         piece = DyadicPiece(3, 2.0)
-        table = _coeff_table(piece, BUMP, [0.2, 0.9], 8)
-        single = _coeff_table(piece, BUMP, [0.9], 8)
+        table = _coeff_table(piece, [0.2, 0.9], 8)
+        single = _coeff_table(piece, [0.9], 8)
         assert table[1, 5] == single[0, 5]
 
     def test_k_beyond_quadrature_resolution_rejected(self):
         with pytest.raises(ValueError, match="k_max"):
-            _coeff_table(DyadicPiece(0, 1.0), BUMP, [0.5], COEFF_GRID // 2 + 1)
+            _coeff_table(DyadicPiece(0, 1.0), [0.5], COEFF_GRID // 2 + 1)
 
 
 def reference_multiplier(piece, u, bump=BUMP):
@@ -399,14 +400,14 @@ def reference_multiplier(piece, u, bump=BUMP):
     return np.where(u > 0, np.abs(u) ** piece.alpha, 0.0) * bump(2**piece.j * u)
 
 
-def reference_table(piece, s_values, k_max, bump=BUMP):
+def reference_table(piece, s_values, k_max, bump=BUMP, nodes=COEFF_GRID):
     """The coefficient table from one rfft of the full (s, t) integrand."""
     s_arr = np.atleast_1d(np.asarray(s_values, dtype=float))
-    t = -1.0 + 2.0 * np.arange(COEFF_GRID) / COEFF_GRID
+    t = -1.0 + 2.0 * np.arange(nodes) / nodes
     u = 1.0 - np.abs(s_arr)[:, None] ** 2 - np.abs(t)[None, :] ** 2
     spectrum = np.fft.rfft(reference_multiplier(piece, u, bump), axis=1)[:, : k_max + 1].real
     signs = (-1.0) ** np.arange(k_max + 1)
-    return spectrum * signs[None, :] / COEFF_GRID
+    return spectrum * signs[None, :] / nodes
 
 
 def bits(values) -> np.ndarray:
@@ -425,14 +426,14 @@ class TestBitwiseAgainstFullGrid:
         s_values = np.linspace(0.0, 1.0, rows) if rows > 1 else np.array([0.6])
         for j in self.LEVELS:
             piece = DyadicPiece(j, alpha)
-            table = _coeff_table(piece, BUMP, s_values, 64)
+            table = _coeff_table(piece, s_values, 64)
             want = reference_table(piece, s_values, 64)
             assert np.array_equal(bits(table), bits(want)), (j, rows)
 
     def test_default_table_matches_one_full_rfft(self):
         piece = DyadicPiece(4, 2.0)
         s_values = np.linspace(0.0, 1.0, 257)
-        table = _coeff_table(piece, BUMP, s_values, COEFF_GRID // 2)
+        table = _coeff_table(piece, s_values, COEFF_GRID // 2)
         want = reference_table(piece, s_values, COEFF_GRID // 2)
         assert np.array_equal(bits(table), bits(want))
 
@@ -462,7 +463,7 @@ class TestBitwiseAgainstFullGrid:
 
 class TestGammaDecay:
     def test_report_bounded_and_unflagged(self):
-        report = gamma_decay_check(2.0, 0.5, range(9), range(-64, 65), BUMP)
+        report = gamma_decay_check(2.0, 0.5, range(9), range(-64, 65))
         assert report.levels == tuple(range(9))
         assert report.k_values == tuple(range(65))
         assert not report.flagged
@@ -471,23 +472,23 @@ class TestGammaDecay:
         assert np.max(report.normalized) == report.constant
 
     def test_k_profile_decays(self):
-        report = gamma_decay_check(2.0, 0.5, range(5), range(65), BUMP)
+        report = gamma_decay_check(2.0, 0.5, range(5), range(65))
         # each level's profile falls along dyadic wavenumbers; the deep
         # levels flatten (their t-support thins) but never reverse
         assert np.all(report.sup_table[:, 64] < report.sup_table[:, 8])
         assert np.all(report.sup_table[:, 8] < report.sup_table[:, 0])
 
     def test_k_zero_column_within_constant(self):
-        report = gamma_decay_check(2.0, 0.5, range(5), range(33), BUMP)
+        report = gamma_decay_check(2.0, 0.5, range(5), range(33))
         assert np.all(report.normalized[:, 0] <= report.constant)
 
     @pytest.mark.parametrize("delta", [0.0, 2.0, 2.5, -0.3])
     def test_delta_domain_errors(self, delta):
         with pytest.raises(ValueError):
-            gamma_decay_check(2.0, delta, range(3), range(5), BUMP)
+            gamma_decay_check(2.0, delta, range(3), range(5))
 
     def test_csv_export(self, tmp_path):
-        report = gamma_decay_check(2.0, 0.5, range(3), range(5), BUMP)
+        report = gamma_decay_check(2.0, 0.5, range(3), range(5))
         path = cli_artifact(
             ["decay", "--mode", "gamma", "--alpha", "2", "--delta", "0.5",
              "--j-range", "0:2", "--k-max", "4"],
@@ -525,7 +526,7 @@ class TestGammaRule:
     @pytest.mark.parametrize("j,k_max,nodes", CASES)
     def test_agrees_with_a_rule_of_twice_the_nodes(self, j, k_max, nodes):
         alpha, delta = 2.0, 0.5
-        report = gamma_decay_check(alpha, delta, [j], range(k_max + 1), BUMP)
+        report = gamma_decay_check(alpha, delta, [j], range(k_max + 1))
         want = plain_rule_sup(DyadicPiece(j, alpha), k_max, nodes)
         got = report.sup_table[0]
         assert np.max(np.abs(got - want)) <= 1e-3 * np.max(want)
@@ -539,7 +540,7 @@ class TestGammaRule:
 
     def test_levels_past_the_certified_range_refused(self):
         with pytest.raises(ValueError, match="j_range"):
-            gamma_decay_check(2.0, 0.5, range(GAMMA_MAX_LEVEL + 2), range(5), BUMP)
+            gamma_decay_check(2.0, 0.5, range(GAMMA_MAX_LEVEL + 2), range(5))
 
 
 class TestSeparable:
@@ -547,7 +548,7 @@ class TestSeparable:
         f, g = gaussian_pair()
         piece = DyadicPiece(2, 2.0)
         direct = t_j_apply(f, g, piece, BUMP)
-        sep = br_apply_separable(f, g, piece, 512, BUMP)
+        sep = br_apply_separable(f, g, piece, 512)
         assert rel_l2(sep.values, direct.values) < 1e-4
 
     def test_truncation_error_improves_with_rank(self):
@@ -555,7 +556,7 @@ class TestSeparable:
         piece = DyadicPiece(2, 2.0)
         direct = t_j_apply(f, g, piece, BUMP)
         errs = [
-            rel_l2(br_apply_separable(f, g, piece, K, BUMP).values, direct.values)
+            rel_l2(br_apply_separable(f, g, piece, K).values, direct.values)
             for K in (128, 256, 512)
         ]
         for early, late in zip(errs, errs[1:]):
@@ -568,7 +569,7 @@ class TestSeparable:
         piece, K = DyadicPiece(2, 2.0), 8
         radii = grid.freq_radii()
         inside = np.unique(radii[radii <= 1.0])
-        table = _coeff_table(piece, BUMP, inside, K)
+        table = _coeff_table(piece, inside, K)
         expected = np.zeros(grid.shape, dtype=np.complex128)
         for k in range(K + 1):
             gamma = BandSpec(0.0, 1.0, lambda r, k=k: table[np.searchsorted(inside, r), k])
@@ -576,27 +577,43 @@ class TestSeparable:
             factor = 1.0 if k == 0 else 2.0
             ff, gg = band_operator(f, gamma), band_operator(g, cosine)
             expected += factor * ff.values * gg.values
-        out = br_apply_separable(f, g, piece, K, BUMP)
+        out = br_apply_separable(f, g, piece, K)
         assert np.array_equal(out.values, expected)
 
     @pytest.mark.parametrize("grid", [Grid(1, 64, 16.0), Grid(2, 32, 8.0)], ids=["1d", "2d"])
     def test_bitwise_equal_to_terms_through_sampled_fields(self, grid):
         f, g = random_field(grid, seed=61), random_field(grid, seed=62)
         piece = DyadicPiece(2, 2.0)
-        out = br_apply_separable(f, g, piece, 64, BUMP)
-        want = separable_by_fields(f, g, piece, 64, BUMP)
+        out = br_apply_separable(f, g, piece, 64)
+        want = separable_by_fields(f, g, piece, 64)
         assert np.array_equal(out.values.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("j", [7, 8])
+    def test_table_agrees_with_a_rule_of_twice_the_nodes(self, j):
+        # the fixed rule's error grows about 6x per level: 1.1e-3 at j = 8, 7.7e-3 at 9
+        piece = DyadicPiece(j, 2.0)
+        s_values = np.linspace(0.0, 1.0, 257)
+        table = _coeff_table(piece, s_values, 256)
+        want = reference_table(piece, s_values, 256, nodes=2 * COEFF_GRID)
+        assert np.max(np.abs(table - want)) <= 2e-3 * np.max(np.abs(want))
+
+    def test_refuses_what_its_table_does_not_resolve(self):
+        f, g = gaussian_pair()
+        with pytest.raises(ValueError, match=f"got j={SEPARABLE_MAX_LEVEL + 1}"):
+            br_apply_separable(f, g, DyadicPiece(SEPARABLE_MAX_LEVEL + 1, 2.0), 64)
+        with pytest.raises(ValueError, match=f"got K={COEFF_GRID // 2 + 1}"):
+            br_apply_separable(f, g, DyadicPiece(2, 2.0), COEFF_GRID // 2 + 1)
 
     def test_zero_input_gives_zero(self):
         f, g = gaussian_pair()
         zero = SampledField(GRID, np.zeros(GRID.shape))
-        out = br_apply_separable(zero, g, DyadicPiece(1, 2.0), 64, BUMP)
+        out = br_apply_separable(zero, g, DyadicPiece(1, 2.0), 64)
         assert np.max(np.abs(out.values)) == 0.0
 
     def test_validation(self):
         f, g = gaussian_pair()
         with pytest.raises(ValueError):
-            br_apply_separable(f, g, DyadicPiece(0, 1.0), 0, BUMP)
+            br_apply_separable(f, g, DyadicPiece(0, 1.0), 0)
         other = make_test_field("gaussian", {"width": 1.0}, Grid(1, 32, 16.0))
         with pytest.raises(ValueError):
-            br_apply_separable(f, other, DyadicPiece(0, 1.0), 64, BUMP)
+            br_apply_separable(f, other, DyadicPiece(0, 1.0), 64)
