@@ -2,11 +2,12 @@
 
 Two independent evaluation routes are kept side by side on purpose:
 ``bessel_j`` is the production path, a thin layer over ``scipy.special``
-(``j0``, ``j1``, ``jv``) within 2e-14 max(1, |J|) of mpmath at 30 digits,
+(``j0``, ``j1``, ``jv``) within 5e-14 max(1, |J|) of mpmath at 30 digits,
 while ``bessel_j_oracle`` evaluates the Poisson integral representation by
 Gauss-Jacobi quadrature.  Their agreement is the correctness anchor for every
 kernel and restriction computation built on top of them.  ``bessel_j`` refuses
-orders above ``MAX_VALIDATED_ORDER``, which the oracle cannot certify.
+orders above ``MAX_VALIDATED_ORDER``, which the oracle cannot certify, and
+warns past ``MAX_VALIDATED_ARGUMENT``, where the mpmath check stops.
 
 ``scipy.special`` is loaded at the first Bessel, ``gammaln`` or Gauss-rule
 call (see :class:`_SpecialFunction`), never at import: importing it costs
@@ -93,6 +94,8 @@ ORACLE_BUDGET = 200.0
 #: largest order ``bessel_j`` accepts: the oracle, its independent check,
 #: cannot certify orders above 8 (ROADMAP item 5 decides whether to lift it)
 MAX_VALIDATED_ORDER = 8.0
+#: largest argument at which ``bessel_j`` is checked against mpmath
+MAX_VALIDATED_ARGUMENT = 2e6
 #: below this argument the second series term, (r/2)^2 / (k+1) <= 5e-17 of
 #: the first for every k > -1/2, is lost to rounding
 _TINY_ARGUMENT = 1e-8
@@ -139,14 +142,15 @@ def bessel_j(k: float, r):
         Order, must satisfy -1/2 < k <= ``MAX_VALIDATED_ORDER`` (8); larger
         orders raise ``ValueError`` rather than return an uncertified value.
     r : float or array_like
-        Finite nonnegative argument(s).
+        Finite nonnegative argument(s); past ``MAX_VALIDATED_ARGUMENT`` (2e6)
+        an ``AccuracyWarning`` says the values are uncertified.
 
     Returns
     -------
     float or ndarray
         J_k evaluated elementwise by ``scipy.special`` (``j0`` at order 0,
-        ``j1`` at order 1, ``jv`` otherwise), within 2e-14 max(1, |J|) of
-        mpmath's ``besselj`` at 30 digits on r in [1e-8, 2e4].  Below
+        ``j1`` at order 1, ``jv`` otherwise), within 5e-14 max(1, |J|) of
+        mpmath's ``besselj`` at 30 digits on r in [1e-8, 2e6].  Below
         r = 1e-8 it is the leading series term, J_k there to rounding
         (within 5e-14 relative, subnormal r included, where ``jv`` returns
         0 or inf); +inf at r = 0 for k < 0.
@@ -155,6 +159,13 @@ def bessel_j(k: float, r):
     if k > MAX_VALIDATED_ORDER:
         raise ValueError(f"Bessel order k={k} > {MAX_VALIDATED_ORDER:g}, the validated maximum")
     r, scalar = _as_radii(r)
+    if np.any(r > MAX_VALIDATED_ARGUMENT):
+        warnings.warn(
+            f"bessel_j asked for r up to {np.max(r):g}, beyond"
+            f" {MAX_VALIDATED_ARGUMENT:g}, the validated maximum",
+            AccuracyWarning,
+            stacklevel=2,
+        )
     out = j0(r) if k == 0 else j1(r) if k == 1 else jv(k, r)
     tiny = r < _TINY_ARGUMENT
     if np.any(tiny):

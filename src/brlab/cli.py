@@ -120,7 +120,7 @@ def _exponent(text: str) -> Fraction | float:
     return value
 
 
-def _orders(text: str) -> list[float]:
+def _orders(text: str) -> list[Fraction]:
     """Comma-separated Bessel orders, each a rational at most the validated maximum."""
     orders = [_fraction(token) for token in text.split(",") if token.strip()]
     if not orders:
@@ -130,7 +130,7 @@ def _orders(text: str) -> list[float]:
             raise argparse.ArgumentTypeError(
                 f"Bessel order {order} > {MAX_VALIDATED_ORDER:g}, the validated maximum"
             )
-    return [float(order) for order in orders]
+    return orders
 
 
 def _number(text: str) -> float:
@@ -222,9 +222,13 @@ def _classify_value_error(err: ValueError, flags) -> CliError:
 
 def _flags(args) -> dict:
     """Every parsed flag as the manifest records it: the run seed as ``seed``,
-    exponents as their text, unset flags as None."""
+    exponents and orders as their text, unset flags as None."""
+
+    def text(value):
+        return str(value) if isinstance(value, Fraction) or value == math.inf else value
+
     config = {
-        key: str(value) if isinstance(value, Fraction) or value == math.inf else value
+        key: [text(v) for v in value] if isinstance(value, list) else text(value)
         for key, value in vars(args).items()
         if key not in ("command", "outdir", "run_seed")
     }
@@ -502,7 +506,7 @@ def _cmd_bessel_check(args, run_dir: str) -> None:
         raise CliError("r_min", f"need 0 < r_min < r_max, got [{r_min}, {r_max}]")
     radii = np.geomspace(r_min, r_max, args.points)
     rows = []
-    for k in args.orders:
+    for k in map(float, args.orders):
         series = bessel_j(k, radii)
         oracle = bessel_j_oracle(k, radii)
         for r, a, b in zip(radii, np.atleast_1d(series), np.atleast_1d(oracle)):
@@ -529,7 +533,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--L", type=_number, default="16")
     p.add_argument("--alpha", type=_number, default=None)
     p.add_argument("--paths", type=_paths, default="oracle,radial")
-    p.add_argument("--nodes", type=count, default=None)
+    p.add_argument("--nodes", type=count, default=4096)
     p.add_argument("--K", type=count, default=256)
     p.add_argument("--j", type=int, default=2)
     p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
@@ -546,7 +550,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p2", type=_exponent, default="1")
     p.add_argument("--j-range", dest="j_range", type=_int_range, default="0:8")
     p.add_argument("--k-max", dest="k_max", type=_at_least(0), default=64)
-    p.add_argument("--trials", type=int, default=2)
+    p.add_argument("--trials", type=count, default=2)
     p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET)
 
     p = sub.add_parser("regions", help="region map export or single query")
@@ -574,7 +578,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--b", type=_number, default="8")
     p.add_argument("--widths", type=_numbers, default="1/2,1,2,4")
     p.add_argument("--alpha", type=_number, default=None)
-    p.add_argument("--trials", type=int, default=2)
+    p.add_argument("--trials", type=count, default=2)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--N", type=int, default=256)
     p.add_argument("--L", type=_number, default="8")

@@ -37,8 +37,6 @@ from .bessel import (
 
 roots_legendre = _GaussRules("roots_legendre")
 
-#: rho beyond which the quadrature routes warn about node resolution
-OSCILLATION_BUDGET = 50.0
 #: hard cap on per-axis quadrature nodes
 NODE_CAP = 3000
 #: most sphere-transform entries ``kernel_quadrature`` builds at once: it walks
@@ -159,11 +157,13 @@ def _ladder(nodes):
 
 
 def _auto_nodes(requested, cycles: float) -> int:
+    """Nodes for ``cycles``, capped at NODE_CAP with the kernel routes' one warning."""
     nodes = int(_cycle_nodes(requested, cycles))
     if nodes > NODE_CAP:
         warnings.warn(
-            f"quadrature wants {nodes} nodes per axis, capping at {NODE_CAP};"
-            " values beyond the oscillation budget may be unresolved",
+            f"quadrature wants {nodes} nodes per axis for {cycles:g} oscillation cycles,"
+            f" more than the {MAX_CYCLES:.0f} that {NODE_CAP} resolve; capping at"
+            f" {NODE_CAP}, so the value may be unresolved",
             AccuracyWarning,
             stacklevel=3,
         )
@@ -193,12 +193,12 @@ def kernel_quadrature(
     (r cos th)^{n-1} (r sin th)^{n-1} r dr dth over the quarter disk of
     radius R.  The radial edge factor (1 - r/R)^alpha is absorbed into a
     Gauss-Jacobi weight so the boundary kink costs no accuracy; the angular
-    direction uses Gauss-Legendre.  G radial nodes scale with R*rho and warn
-    past the budget; node r gets the angular rule of its own r*rho cycles,
-    laddered, floored like G and at most G (bitwise a G-node rule where all
-    get G).  The sphere transform depends only on |x|, so one table
-    phi_{r cos th}(|x1|) is built, and the x2 table is a second one only when
-    |x2| differs; either serves the sin slot reversed.  Each rule size's rows
+    direction uses Gauss-Legendre.  G radial nodes scale with the R*rho
+    cycles and warn past ``MAX_CYCLES``; node r gets the angular rule of its
+    own r*rho cycles, laddered, floored like G and at most G (bitwise a
+    G-node rule where all get G).  The sphere transform depends only on
+    |x|, so one table phi_{r cos th}(|x1|) is built, and the x2 table is a
+    second one only when |x2| differs; either serves the sin slot reversed.  Each rule size's rows
     go in blocks of at most ``_TABLE_BLOCK`` entries: memory does not grow.
     """
     if alpha < 0:
@@ -207,13 +207,6 @@ def kernel_quadrature(
         raise ValueError(f"point has dimension {len(pt.x1)}, expected n={n}")
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if pt.rho > OSCILLATION_BUDGET * (1.0 + 1e-9):
-        warnings.warn(
-            f"kernel_quadrature at rho={pt.rho:g} exceeds its oscillation budget"
-            f" of {OSCILLATION_BUDGET:g}",
-            AccuracyWarning,
-            stacklevel=2,
-        )
     G = _auto_nodes(nodes, radius * pt.rho)
     # radial rule: t in [-1,1] -> r = R(t+1)/2 with weight (1-t)^alpha
     t, w = roots_jacobi(G, alpha, 0.0)
@@ -272,22 +265,15 @@ def kj_kernel(points, piece, n: int, bump):
     and K_j(0) = (2 pi^n / Gamma(n)) int m_j(r) r^{2n-1} dr over the slice
     annulus, where m_j vanishes to all orders at both edges.  Node rule:
     Gauss-Legendre on the annulus, max(512, 80 + ceil(3.6 (r_hi - r_lo) rho))
-    nodes on the node ladder, capped at ``NODE_CAP`` with a warning; 512 nodes
-    agree with 3,000 to ~1e-13 of max|K_j| for rho <= 50.  One transform per
-    distinct rho; J_{n-1} needs n <= 9.
+    nodes on the node ladder, capped at ``NODE_CAP`` with a warning past
+    ``MAX_CYCLES``; below it a value is within ~6e-15 |K_j(0)| of a doubled
+    rule's.  One transform per distinct rho; J_{n-1} needs n <= 9.
     """
     single = isinstance(points, KernelPoint)
     points = [points] if single else list(points)
     for pt in points:
         if len(pt.x1) != n:
             raise ValueError(f"point has dimension {len(pt.x1)}, expected n={n}")
-        if pt.rho > OSCILLATION_BUDGET * (1.0 + 1e-9):
-            warnings.warn(
-                f"kj_kernel at rho={pt.rho:g} exceeds its oscillation budget"
-                f" of {OSCILLATION_BUDGET:g}",
-                AccuracyWarning,
-                stacklevel=2,
-            )
     r_lo, r_hi = _slice_edges(int(piece.j))
     rules, values = {}, {}
     # at large j both edges round to 1: the annulus is empty and K_j is 0
@@ -336,7 +322,7 @@ def envelope_fit(pieces, n: int, M: float, points, bump) -> EnvelopeReport:
 
     Each piece's kernel is taken at all sample points in one
     :func:`kj_kernel` call (its 1-D radial route: at least 512 Gauss-Legendre
-    nodes on the slice annulus, ~1e-13 of max|K_j| for rho <= 50); the
+    nodes on the slice annulus, ~6e-15 of |K_j(0)| up to ``MAX_CYCLES``); the
     constants are bitwise those of per-point calls.  Its Legendre rules come
     from the process-wide Gauss-rule memo, so the pieces share one rule per
     node count with every other kernel route.

@@ -27,7 +27,7 @@ from .grid import (
     make_test_field,
     modulate,
 )
-from .operators import BandSpec, MultiplierSpec, band_operator, br_apply_radial
+from .operators import BandSpec, MultiplierSpec, band_operator, br_apply_oracle
 
 #: hill-climbing perturbation steps per trial
 CLIMB_STEPS = 50
@@ -432,6 +432,6 @@ def corollary_experiment(alpha: float, grid: Grid, trials: int, seed: int) -> No
     spec = MultiplierSpec(alpha=float(alpha))
 
     def op(f, g):
-        return br_apply_radial(f, g, spec)
+        return br_apply_oracle(f, g, spec)
 
     return estimate_bilinear_norm(op, ExponentPair(1, math.inf), grid, trials, seed)

@@ -317,20 +317,17 @@ def br_apply_radial(
     f: SampledField,
     g: SampledField,
     spec: MultiplierSpec,
-    nodes: int | None = None,
+    nodes: int,
     budget: int = DEFAULT_BUDGET,
 ) -> SampledField:
     """Bilinear evaluation with frequency radii binned into radial shells.
 
-    With ``nodes=None`` every exact lattice radius is its own shell, which
-    is the oracle's sum itself.  An integer ``nodes`` uses that many uniform
-    bins on [0, radius) and snaps each frequency's radius to its bin centre
-    before the pair is weighed; the resulting error falls off like 1/nodes,
-    which is what the node-doubling convergence checks measure.  ``budget``
-    caps the in-ball pairs visited, as for the oracle.
+    ``nodes`` uniform bins on [0, radius): each frequency's radius is
+    snapped to its bin centre before the pair is weighed, so the error
+    against :func:`br_apply_oracle` falls off like 1/nodes, which is what
+    the node-doubling convergence checks measure.  ``budget`` caps the
+    in-ball pairs visited, as for the oracle.
     """
-    if nodes is None:
-        return bilinear_frequency_apply(f, g, spec.weight_of_square_sum, spec.radius, budget)
     grid = _require_same_grid(f, g)
     if nodes < 1:
         raise ValueError(f"need at least one radial bin, got {nodes}")

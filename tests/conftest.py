@@ -11,3 +11,9 @@ settings.register_profile(
     "brlab", derandomize=True, deadline=None, max_examples=500, database=None
 )
 settings.load_profile("brlab")
+
+
+def pytest_configure(config):
+    # an AccuracyWarning a test does not expect fails it; registered here, not
+    # in pyproject.toml, because the bench tests run without brlab on the path
+    config.addinivalue_line("filterwarnings", "error::brlab.bessel.AccuracyWarning")

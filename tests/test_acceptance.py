@@ -137,7 +137,7 @@ def test_04_path_agreement():
     grid = Grid(1, 256, 16.0)
     f, g = _gaussian_pair(grid)
     oracle = br_apply_oracle(f, g, spec)
-    radial_err = _rel(br_apply_radial(f, g, spec), oracle)
+    radial_err = _rel(br_apply_radial(f, g, spec, nodes=4096), oracle)
     e_coarse = _rel(br_apply_radial(f, g, spec, nodes=128), oracle)
     e_fine = _rel(br_apply_radial(f, g, spec, nodes=256), oracle)
     halving = e_fine / e_coarse

@@ -13,6 +13,7 @@ import scipy.special
 
 from brlab import bessel, kernel
 from brlab.bessel import (
+    MAX_VALIDATED_ARGUMENT,
     MAX_VALIDATED_ORDER,
     AccuracyWarning,
     bessel_j,
@@ -112,16 +113,28 @@ class TestBesselJ:
             allow_subnormal=False,
         )
         | st.sampled_from([0.0, 1.0] + [m + 0.5 for m in range(8)]),
-        r=st.floats(min_value=1e-300, max_value=2e4),
+        r=st.floats(min_value=1e-300, max_value=MAX_VALIDATED_ARGUMENT),
     )
     def test_matches_independent_reference(self, k, r):
         # mpmath shares no code with scipy, which bessel_j calls (j0 and j1
         # at orders 0 and 1, jv elsewhere), or with the oracle.  The kernel
-        # uses orders n + alpha up to 7, and the sphere transforms order 0 out
-        # to r ~ 2e4.  Measured worst: 1.5e-14 for r >= 1e-8 and 4.4e-14 on
-        # the leading-term branch below it (6,000 random draws).
+        # uses orders n + alpha up to 7, and the piece kernels orders 0 and 1
+        # out to r ~ 1.7e6.  Measured worst: 1.5e-14 for 1e-8 <= r <= 2e4
+        # (6,000 random draws), 3e-14 at orders 0 and 1 on [2e4, 2e6] (4,530
+        # draws), and 4.4e-14 on the leading-term branch below 1e-8.
         want = mp_besselj(k, r)
         assert abs(bessel_j(k, r) - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_warns_past_the_validated_argument(self):
+        assert MAX_VALIDATED_ARGUMENT == 2e6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bessel_j(0, 2e6)
+            bessel_j(2.5, np.array([1.0, 2e6]))
+        past = math.nextafter(2e6, math.inf)
+        for k in (0, 2.5):
+            with pytest.warns(AccuracyWarning, match="validated"):
+                bessel_j(k, np.array([1.0, past]))
 
     def test_subnormal_arguments(self):
         # values from mpmath.besselj at 30 digits; below the normal range r/2

@@ -4,12 +4,11 @@ import argparse
 import csv
 import json
 import os
-from fractions import Fraction
+import warnings
 
 import numpy as np
 import pytest
 
-from brlab.bessel import AccuracyWarning
 from brlab import cli
 from brlab.cli import _build_parser, main
 from brlab.decomposition import (
@@ -54,12 +53,6 @@ def subparsers():
     parser = _build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return commands.choices
-
-
-def flag_text(value):
-    """A manifest value as flag text; a float as its exact rational, which
-    every numeric flag parses back to the same bits."""
-    return str(Fraction(value)) if isinstance(value, float) else str(value)
 
 
 #: the benchmark's one-shot CLI entries, and a default piece-norm decay fit
@@ -252,8 +245,12 @@ class TestValidation:
             # a negative budget used to exit 3, as if a run had gone over it
             (["evaluate", "--budget", "-5"], "budget"),
             (["decay", "--budget", "-5"], "budget"),
+            # --trials used to be checked only by the modes that read it
+            (["decay", "--mode", "gamma", "--alpha", "2", "--trials", "0"], "trials"),
+            (["norms", "--p", "1", "--seed", "1", "--trials", "-3"], "trials"),
         ],
-        ids=["K", "nodes", "M", "evaluate-budget", "decay-budget"],
+        ids=["K", "nodes", "M", "evaluate-budget", "decay-budget", "decay-trials",
+             "norms-trials"],
     )
     def test_refused_before_any_output(self, flags, key, tmp_path, capsys):
         argv = flags + (["--alpha", "2", "--N", "64"] if flags[0] == "evaluate" else [])
@@ -437,8 +434,8 @@ class TestRunLayout:
             if key == "j_range":
                 value = f"{value[0]}:{value[-1]}"
             elif isinstance(value, list):
-                value = ",".join(flag_text(v) for v in value)
-            rerun += [options[key], flag_text(value)]
+                value = ",".join(str(v) for v in value)
+            rerun += [options[key], str(value)]
         rc, again = run_cli(rerun, tmp_path)
         assert rc == 0
         assert read_manifest(again)["config"] == config
@@ -663,10 +660,11 @@ class TestKernel:
         assert read_error(capsys)["key"] == key
         assert os.listdir(tmp_path) == []
 
-    def test_sweep_past_the_oscillation_budget_runs_and_warns(self, tmp_path):
-        with pytest.warns(AccuracyWarning, match="oscillation budget"):
+    def test_sweep_below_the_cycle_cap_runs_without_warning(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc, run_dir = run_cli(
-                ["kernel", "--check", "sweep", "--rho-max", "60", "--points", "2"], tmp_path
+                ["kernel", "--check", "sweep", "--rho-max", "200", "--points", "2"], tmp_path
             )
         assert rc == 0
         assert len(load_rows(os.path.join(run_dir, "kernel.csv"))) == 3
@@ -753,6 +751,19 @@ class TestBesselCheck:
         rc, _ = run_cli(["bessel-check", "--orders", "inf"], tmp_path)
         assert rc == 2
         assert read_error(capsys)["key"] == "orders"
+
+    def test_manifest_orders_rerun_verbatim(self, tmp_path):
+        # the orders used to be recorded as floats, which --orders refuses
+        rc, run_dir = run_cli(["bessel-check", "--points", "4"], tmp_path)
+        assert rc == 0
+        orders = read_manifest(run_dir)["config"]["orders"]
+        assert orders == ["0", "1/2", "1", "3/2", "2", "5/2"]
+        rc, again = run_cli(["bessel-check", "--points", "4", "--orders", ",".join(orders)],
+                            tmp_path)
+        assert rc == 0
+        with open(os.path.join(run_dir, "bessel.csv"), "rb") as a, \
+                open(os.path.join(again, "bessel.csv"), "rb") as b:
+            assert a.read() == b.read()
 
     def test_order_above_validated_range_rejected(self, tmp_path, capsys):
         rc, _ = run_cli(["bessel-check", "--orders", "10"], tmp_path)

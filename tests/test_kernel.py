@@ -208,9 +208,16 @@ class TestQuadrature:
         assert np.array_equal(t, -t[::-1])
         assert np.array_equal(v, v[::-1])
 
-    def test_oscillation_budget_warns(self):
-        with pytest.warns(AccuracyWarning):
-            kernel_quadrature(KernelPoint(60.0, 0.0), 1.0, 1)
+    @pytest.mark.parametrize(
+        "n,rho,R", [(1, 100.0, 1.0), (1, 200.0, 1.0), (2, 100.0, 1.0), (2, 200.0, 1.0),
+                    (1, 60.0, 0.5)]
+    )
+    def test_resolved_without_warning_below_the_cycle_cap(self, n, rho, R):
+        pt = KernelPoint((rho,) + (0.0,) * (n - 1), (0.0,) * n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel_quadrature(pt, 2.0, n, radius=R)
+        assert abs(got - kernel_radial(rho, 2.0, n, radius=R)) <= 1e-12
 
     def test_node_cap_warns(self):
         with pytest.warns(AccuracyWarning):
@@ -371,9 +378,28 @@ class TestKjKernel:
         v2 = kj_kernel(KernelPoint(1.1, 0.3), piece, 1, BUMP)
         assert_allclose(v1, v2, rtol=1e-10)
 
-    def test_oscillation_budget_warns(self):
-        with pytest.warns(AccuracyWarning):
-            kj_kernel(KernelPoint(60.0, 0.0), DyadicPiece(1, 1.0), 1, BUMP)
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("j", [0, 2, 4, 8])
+    def test_resolved_without_warning_below_the_cycle_cap(self, n, j):
+        # against two NODE_CAP-node Legendre panels, at least twice the nodes
+        # of any rule kj_kernel takes; at j = 8 and 800 cycles the Bessel
+        # arguments reach 1.7e6
+        piece, pad = DyadicPiece(j, 2.0), (0.0,) * (n - 1)
+        r_lo, r_hi = kernel._slice_edges(j)
+        t, w = kernel.roots_legendre(NODE_CAP)
+        scale = abs(kj_kernel(KernelPoint((0.0,) + pad, (0.0,) + pad), piece, n, BUMP))
+        for cycles in (50.0, 800.0):
+            rho = cycles / (r_hi - r_lo)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = kj_kernel(KernelPoint((rho,) + pad, (0.0,) + pad), piece, n, BUMP)
+            want, mid = 0.0, (r_lo + r_hi) / 2.0
+            for lo, hi in ((r_lo, mid), (mid, r_hi)):
+                r = lo + (hi - lo) * (t + 1.0) / 2.0
+                profile = (hi - lo) / 2.0 * w * piece.multiplier(1.0 - r**2, BUMP) * r**n
+                want += np.dot(profile, bessel.bessel_j(n - 1, 2.0 * math.pi * rho * r))
+            want *= 2.0 * math.pi * rho ** (1 - n)
+            assert abs(got - want) <= 1e-13 * scale
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
@@ -407,11 +433,10 @@ class TestKjKernel:
         kj_kernel(points, DyadicPiece(2, 2.0), 1, BUMP)
         assert orders == [0, 0]
 
-    @pytest.mark.filterwarnings("ignore::brlab.bessel.AccuracyWarning")
     @pytest.mark.parametrize("n", [1, 2])
     def test_batch_matches_single_points_bitwise(self, n):
-        # a product grid with the origin and swapped pairs, plus a rho beyond
-        # the budget that needs more nodes than the floor, so two rules form
+        # a product grid with the origin and swapped pairs, plus a rho = 200
+        # that needs more nodes than the floor, so two rules form
         pad = (0.0,) * (n - 1)
         radii = (0.0, 0.7, 3.5, 14.0, 28.0)
         points = [KernelPoint((a,) + pad, (b,) + pad) for a in radii for b in radii]
@@ -430,21 +455,22 @@ class TestKjKernel:
         piece = DyadicPiece(0, 2.0)
         requested, roots = [], kernel.roots_legendre
         monkeypatch.setattr(kernel, "roots_legendre", lambda k: requested.append(k) or roots(k))
-        with pytest.warns(AccuracyWarning, match="oscillation budget"):
-            rounded = kj_kernel(points, piece, 1, BUMP)
+        rounded = kj_kernel(points, piece, 1, BUMP)
         assert sum(k > 512 for k in requested) >= 2
         assert all(k % 64 == 0 for k in requested)
         monkeypatch.setattr(kernel, "_ladder", lambda k: k)
-        with pytest.warns(AccuracyWarning):
-            unrounded = kj_kernel(points, piece, 1, BUMP)
+        unrounded = kj_kernel(points, piece, 1, BUMP)
         assert np.max(np.abs(rounded - unrounded)) <= 1e-13 * np.max(np.abs(unrounded))
 
-    def test_batch_warns_once_per_out_of_budget_point(self):
-        points = [KernelPoint(60.0, 0.0), KernelPoint(1.0, 0.5), KernelPoint(0.0, 70.0)]
+    def test_batch_warns_once_per_distinct_rho_past_the_cycle_cap(self):
+        # j = 1 spans (r_hi - r_lo) = 0.866, so the cap binds past rho ~ 937
+        points = [KernelPoint(1000.0, 0.0), KernelPoint(1.0, 0.5), KernelPoint(0.0, 1000.0),
+                  KernelPoint(0.0, 1100.0), KernelPoint(900.0, 0.0)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             kj_kernel(points, DyadicPiece(1, 1.0), 1, BUMP)
         assert [issubclass(w.category, AccuracyWarning) for w in caught] == [True, True]
+        assert all("capping" in str(w.message) for w in caught)
 
     def test_batch_rejects_a_wrong_dimension_point_anywhere(self):
         points = [KernelPoint(1.0, 0.0), KernelPoint((1.0, 0.0), (0.0, 0.0))]

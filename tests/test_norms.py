@@ -23,7 +23,7 @@ from brlab.norms import (
     recompute_ratio,
     witness_catalog,
 )
-from brlab.operators import MultiplierSpec, br_apply_radial
+from brlab.operators import MultiplierSpec, br_apply_oracle
 from helpers import cli_artifact, read_csv_rows
 
 BUMP = make_bump()
@@ -466,7 +466,7 @@ class TestCorollary:
     def test_monotone_nonincreasing_in_alpha_at_fixed_witnesses(self):
         est = corollary_experiment(1.5, Grid(1, 128, 16.0), 3, seed=9)
         higher = recompute_ratio(
-            lambda f, g: br_apply_radial(f, g, MultiplierSpec(2.5)), est
+            lambda f, g: br_apply_oracle(f, g, MultiplierSpec(2.5)), est
         )
         assert higher <= est.value + 1e-12
 
